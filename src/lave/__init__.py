@@ -33,6 +33,7 @@ from .estimator import (
     IntervalGrid,
     SelectionResult,
     TestRecord,
+    batch_estimate,
     estimate_path,
     estimated_std,
     forecast_next,
@@ -73,7 +74,6 @@ from .simulation import (
     ExperimentCell,
     ExperimentResult,
     TruthDiagnostics,
-    batch_estimate,
     detectability_bound,
     detection_delays,
     generate_change_point_series,

@@ -3,7 +3,8 @@
 Under the homogeneous null the transformed observations are
 Y_t = |xi_t|^gamma / c_gamma with constant unit level, so an ideal scan
 keeps every candidate window. For a series of length M the threshold
-lambda is tuned so that the full-length window at tau = M is wrongly
+lambda is tuned so that the longest candidate window at tau = M (length M
+when m0 divides M, else the largest multiple of m0 below M) is wrongly
 rejected by one of its own split tests in a target fraction (default 5%)
 of replications. Shorter candidates of the scan are not part of this
 event; a false rejection of any candidate at tau = M is more frequent, and
@@ -11,7 +12,7 @@ its 5% thresholds for gamma = 0.5 are about 2.6 (M = 40) and 3.2 (M = 80).
 
 Each replication is summarized once by
 
-    T = max over splits of the length-M window of statistic / unit_threshold,
+    T = max over splits of that window of statistic / unit_threshold,
 
 where unit_threshold is the test threshold at lambda = 1. That test rejects
 at threshold lambda exactly when T > lambda, so the rejection frequency at
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationBracketError
-from .estimator import _prefix_sums
+from .estimator import _prefix_sums, _split_terms
 from .series import PowerParams, TransformedSeries
 from .transform import power_constants
 
@@ -51,10 +52,12 @@ _LAMBDA_TOL = 1e-3
 class CalibrationSpec:
     """Settings for one calibration run.
 
-    M : length of the homogeneous series (and of the longest candidate).
+    M : length of the homogeneous series. The longest candidate window,
+        whose splits are tested at tau = M, is the largest multiple of m0
+        not above M.
     m0 : grid step of the scan.
-    target_alpha : desired probability that the length-M window at tau = M
-        is falsely rejected by one of its own split tests.
+    target_alpha : desired probability that the longest candidate window at
+        tau = M is falsely rejected by one of its own split tests.
     """
 
     gamma: float
@@ -104,33 +107,25 @@ def simulate_homogeneous(M: int, params: PowerParams, seed: int) -> TransformedS
 
 def _max_test_ratios(spec: CalibrationSpec) -> np.ndarray:
     """Per-replication maximum of statistic / unit-threshold over the splits
-    of the full-length window.
+    of the longest candidate window at tau = M.
 
-    The summary T of one replication is taken over the split tests of the
-    complete length-M window only. mean(T > lam) is then the probability
-    that the homogeneity test of the full interval falsely rejects.
+    The summary T of one replication is taken over the split tests of that
+    window only, whose length is the largest multiple of m0 not above M.
+    mean(T > lam) is then the probability that the homogeneity test of the
+    longest candidate falsely rejects.
     """
     params = power_constants(spec.gamma)
     rng = np.random.default_rng(spec.seed)
     xi = rng.standard_normal((spec.replications, spec.M))
     y = np.abs(xi) ** spec.gamma / params.c_gamma
 
-    prefix = _prefix_sums(y)
     m0, M = spec.m0, spec.M
-    n_cand = M // m0
-    lengths = m0 * np.arange(1, n_cand + 1)
+    k = M // m0
+    lengths = m0 * np.arange(1, k + 1)
+    prefix = _prefix_sums(y)
     suffix = prefix[:, M, None] - prefix[:, M - lengths]
-    means = suffix / lengths
-
-    test_lens = m0 * np.arange(1, n_cand)
-    theta_test = means[:, : n_cand - 1]
-    theta_rest = (suffix[:, n_cand - 1 : n_cand] - suffix[:, : n_cand - 1]) / (
-        M - test_lens
-    )
-    statistic = np.abs(theta_rest - theta_test)
-    unit = params.s_gamma * np.sqrt(
-        theta_test**2 / test_lens + theta_rest**2 / (M - test_lens)
-    )
+    _, _, statistic, root = _split_terms(suffix, k, m0)
+    unit = params.s_gamma * root
     # zero unit threshold needs a zero window, which has probability 0
     # under the Gaussian draws; guard anyway to keep the max finite
     ratio = np.where(unit > 0.0, statistic / np.where(unit > 0.0, unit, 1.0), 0.0)
@@ -138,8 +133,8 @@ def _max_test_ratios(spec: CalibrationSpec) -> np.ndarray:
 
 
 def rejection_frequency(lam: float, spec: CalibrationSpec) -> float:
-    """Fraction of homogeneous replications whose full-length window is
-    rejected by its own split tests at threshold lam."""
+    """Fraction of homogeneous replications whose longest candidate window
+    at tau = M is rejected by its own split tests at threshold lam."""
     if not (lam > 0.0):
         raise ValueError("lam must be positive")
     return float(np.mean(_max_test_ratios(spec) > lam))

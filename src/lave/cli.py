@@ -24,7 +24,6 @@ from .calibration import CalibrationSpec, calibrate_lambda
 from .errors import CalibrationBracketError, GarchConvergenceError, InputDataError, LaveError
 from .estimator import EstimatorConfig, estimate_path
 from .evaluation import acf, compare_forecasters, standardized_returns, summary_stats
-from .garch import rolling_forecast
 from .series import ReturnSeries, log_returns
 from .simulation import ChangePointSpec, generate_change_point_series, run_change_point_experiment
 from .transform import power_constants
@@ -77,7 +76,6 @@ class RunConfig:
     seed: int = 0
     out_dir: str = "."
     deterministic: bool = False
-    workers: int = 1
     input_path: str | None = None
     input_kind: str = "auto"
     design: str | None = None
@@ -142,10 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out-dir", "--out", default=".", help="directory for output CSVs")
     common.add_argument(
         "--deterministic", action="store_true", help="suppress the timestamp header line"
-    )
-    common.add_argument(
-        "--workers", type=int, default=1,
-        help="worker pool size; outputs are identical for any value",
     )
     common.add_argument("--input", dest="input_path", default=None, help="input CSV path")
     common.add_argument(
@@ -218,7 +212,7 @@ def ingest_csv(path, kind: str = "auto") -> ReturnSeries:
     column; a leading date column is ignored. Headerless single-column data
     is treated as returns unless a '# prices' comment or kind='prices' says
     otherwise. Rows whose selected cell is empty or non-numeric are dropped
-    and counted in a log line. Prices are converted to log returns.
+    and counted in a logged warning. Prices are converted to log returns.
     """
     path = Path(path)
     try:
@@ -278,7 +272,7 @@ def ingest_csv(path, kind: str = "auto") -> ReturnSeries:
         except ValueError:
             dropped += 1
     if dropped:
-        log.info("dropped %d non-numeric rows from %s", dropped, path)
+        log.warning("dropped %d non-numeric rows from %s", dropped, path)
     # explicit kind wins, then a comment directive, then the header
     resolved = kind if kind != "auto" else (comment_kind or header_kind or "returns")
     if resolved == "prices":
@@ -498,13 +492,9 @@ def _cmd_backtest(cfg: RunConfig) -> Path:
           _fmt(comparison.lave_score), _fmt(comparison.garch_score),
           comparison.t0, _fmt(comparison.p)]],
     )
-    path = estimate_path(r, config)
-    lave_by_t = dict(path.forecasts())
-    garch_by_t = dict(rolling_forecast(r, window=cfg.garch_window).forecasts)
-    common = sorted(t for t in set(lave_by_t) & set(garch_by_t) if t <= len(r) - 1)
     rows = [
-        [t, _fmt(lave_by_t[t]), _fmt(garch_by_t[t]), _fmt(float(r.values[t] ** 2))]
-        for t in common
+        [t, _fmt(lave), _fmt(garch), _fmt(float(r.values[t] ** 2))]
+        for t, lave, garch in comparison.forecasts
     ]
     return _write_csv(
         cfg, "forecasts.csv", ["t", "lave_sigma_sq", "garch_sigma_sq", "r_sq_next"], rows

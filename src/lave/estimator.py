@@ -9,9 +9,10 @@ rejected candidate; the longest surviving window supplies the estimate
 theta_hat (its mean) and sigma_hat = (theta_hat / c_gamma)^(1/gamma).
 
 `select_interval` is the readable single-time reference implementation and
-keeps a full trace of every comparison. The module-private scan kernel
-reproduces its decisions from cumulative sums, vectorized across Monte
-Carlo replications; the test suite pins the two routes to each other.
+keeps a full trace of every comparison. One module-private kernel
+reproduces its decisions from cumulative sums, vectorized across rows, and
+serves `estimate_path` (one row), `batch_estimate` (one row per Monte Carlo
+replication) and calibration; the test suite pins it to the reference.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "homogeneity_test",
     "select_interval",
     "estimate_path",
+    "batch_estimate",
     "forecast_next",
 ]
 
@@ -290,6 +292,23 @@ def _prefix_sums(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _split_terms(suffix: np.ndarray, k: int, m0: int):
+    """Split arithmetic of candidate k on every row, one column per test
+    length j = m0, ..., (k-1)*m0; suffix[:, i] sums the last (i+1)*m0 values.
+
+    Returns theta_test, theta_rest, statistic = |theta_rest - theta_test| and
+    root = sqrt(theta_test^2 / j + theta_rest^2 / (k*m0 - j)); a split
+    rejects at lam when statistic > lam * s_gamma * root.
+    """
+    test_lens = m0 * np.arange(1, k)
+    rest_lens = k * m0 - test_lens
+    theta_test = suffix[:, : k - 1] / test_lens
+    theta_rest = (suffix[:, k - 1 : k] - suffix[:, : k - 1]) / rest_lens
+    statistic = np.abs(theta_rest - theta_test)
+    root = np.sqrt(theta_test**2 / test_lens + theta_rest**2 / rest_lens)
+    return theta_test, theta_rest, statistic, root
+
+
 def _scan_at_tau(
     prefix: np.ndarray,
     tau: int,
@@ -311,31 +330,49 @@ def _scan_at_tau(
     lengths = m0 * np.arange(1, n_cand + 1)
     # suffix[:, k-1] = sum of the last k*m0 values before tau
     suffix = prefix[:, tau, None] - prefix[:, tau - lengths]
-    means = suffix / lengths
 
     n_rows = prefix.shape[0]
     first_reject = np.zeros(n_rows, dtype=np.int64)  # candidate index k, 0 = none
     alive = np.ones(n_rows, dtype=bool)
     degenerate = np.zeros(n_rows, dtype=bool)
     for k in range(2, n_cand + 1):
-        mk = k * m0
-        test_lens = m0 * np.arange(1, k)
-        theta_test = means[:, : k - 1]
-        theta_rest = (suffix[:, k - 1 : k] - suffix[:, : k - 1]) / (mk - test_lens)
-        statistic = np.abs(theta_rest - theta_test)
-        threshold = (lam * s_gamma) * np.sqrt(
-            theta_test**2 / test_lens + theta_rest**2 / (mk - test_lens)
-        )
-        reject_any = (statistic > threshold).any(axis=1)
+        theta_test, theta_rest, statistic, root = _split_terms(suffix, k, m0)
+        reject_any = (statistic > (lam * s_gamma) * root).any(axis=1)
         zero_any = ((theta_test == 0.0) | (theta_rest == 0.0)).any(axis=1)
         degenerate |= alive & zero_any
         first_reject[alive & reject_any] = k
         alive &= ~reject_any
 
     chosen_k = np.where(first_reject > 0, first_reject - 1, n_cand)
-    theta_hat = means[np.arange(n_rows), chosen_k - 1]
+    theta_hat = suffix[np.arange(n_rows), chosen_k - 1] / (chosen_k * m0)
     degenerate |= theta_hat == 0.0
     return chosen_k * m0, theta_hat, first_reject * m0, degenerate
+
+
+def _scan_path(values: np.ndarray, config: EstimatorConfig):
+    """Run the scan at every tau from t0 through n on each row of values.
+
+    values : (R, n) transformed series, one row per series. Returns taus
+    and (R, taus.size) arrays theta and lens; a degenerate window leaves a
+    gap, NaN in theta and 0 in lens.
+    """
+    n = values.shape[1]
+    t0 = config.start_time
+    if t0 > n:
+        raise ValueError(f"t0={t0} exceeds series length {n}")
+    s_gamma = power_constants(config.gamma).s_gamma
+    prefix = _prefix_sums(values)
+
+    taus = np.arange(t0, n + 1, dtype=np.int64)
+    theta = np.empty((prefix.shape[0], taus.size))
+    lens = np.empty(theta.shape, dtype=np.int64)
+    for i, tau in enumerate(taus):
+        chosen_len, theta_hat, _, degenerate = _scan_at_tau(
+            prefix, int(tau), config.m0, config.lam, s_gamma, config.max_len
+        )
+        theta[:, i] = np.where(degenerate, np.nan, theta_hat)
+        lens[:, i] = np.where(degenerate, 0, chosen_len)
+    return taus, theta, lens
 
 
 def estimate_path(r: ReturnSeries, config: EstimatorConfig) -> EstimatePath:
@@ -346,29 +383,23 @@ def estimate_path(r: ReturnSeries, config: EstimatorConfig) -> EstimatePath:
     """
     params = power_constants(config.gamma)
     y = power_transform(r, config.gamma)
-    n = len(y)
-    t0 = config.start_time
-    if t0 < config.m0:
-        raise ValueError("t0 must be at least m0")
-    if t0 > n:
-        raise ValueError(f"t0={t0} exceeds series length {n}")
-    prefix = _prefix_sums(y.values)
-
-    taus = np.arange(t0, n + 1, dtype=np.int64)
-    theta = np.empty(taus.size)
-    lens = np.empty(taus.size, dtype=np.int64)
-    for i, tau in enumerate(taus):
-        chosen_len, theta_hat, _, degenerate = _scan_at_tau(
-            prefix, int(tau), config.m0, config.lam, params.s_gamma, config.max_len
-        )
-        if degenerate[0]:
-            theta[i] = np.nan
-            lens[i] = 0
-        else:
-            theta[i] = theta_hat[0]
-            lens[i] = chosen_len[0]
-    sigma = np.where(np.isnan(theta), np.nan, (theta / params.c_gamma) ** (1.0 / config.gamma))
+    taus, theta, lens = _scan_path(y.values[None, :], config)
+    theta, lens = theta[0], lens[0]
+    sigma = theta_to_sigma(theta, params)
     return EstimatePath(taus=taus, theta_hat=theta, sigma_hat=sigma, interval_len=lens, config=config)
+
+
+def batch_estimate(returns: np.ndarray, config: EstimatorConfig):
+    """Run the adaptive scan at every tau >= t0 for many series at once.
+
+    returns has shape (replications, n). Gives (taus, sigma_hat, lens) where
+    sigma_hat and lens have shape (replications, taus.size); degenerate
+    windows appear as NaN / 0, matching estimate_path's gap convention.
+    """
+    returns = np.atleast_2d(np.asarray(returns, dtype=float))
+    params = power_constants(config.gamma)
+    taus, theta, lens = _scan_path(np.abs(returns) ** config.gamma, config)
+    return taus, theta_to_sigma(theta, params), lens
 
 
 def forecast_next(r: ReturnSeries, t: int, config: EstimatorConfig) -> float:

@@ -46,13 +46,19 @@ class SummaryStats:
 
 @dataclass(frozen=True)
 class ForecastComparison:
-    """Scores of the adaptive and GARCH forecasters over a common range."""
+    """Scores of the adaptive and GARCH forecasters over a common range.
+
+    forecasts holds the scored rows (t, lave_sigma_sq, garch_sigma_sq), one
+    per common forecast origin t in increasing order: the two variance
+    forecasts made at t for t+1.
+    """
 
     lave_score: float
     garch_score: float
     ratio: float
     t0: int
     p: float
+    forecasts: tuple
 
 
 def forecast_criterion(r: ReturnSeries, forecasts, p: float = 0.5) -> float:
@@ -145,7 +151,8 @@ def compare_forecasters(
     Both forecasters emit (t, variance forecast) pairs; scoring uses only
     the common origins t (so t >= max(garch_window, adaptive start) and
     t <= n-1) with the robust criterion, p = 0.5 by default. ratio < 1
-    means the adaptive forecaster wins.
+    means the adaptive forecaster wins. The scored rows
+    (t, lave_sigma_sq, garch_sigma_sq) are returned as `forecasts`.
     """
     path = estimate_path(r, lave_cfg)
     lave_by_t = dict(path.forecasts())
@@ -156,8 +163,9 @@ def compare_forecasters(
     )
     if not common:
         raise ValueError("forecasters share no common forecast range")
-    lave_score = forecast_criterion(r, [(t, lave_by_t[t]) for t in common], p=p)
-    garch_score = forecast_criterion(r, [(t, garch_by_t[t]) for t in common], p=p)
+    rows = tuple((t, lave_by_t[t], garch_by_t[t]) for t in common)
+    lave_score = forecast_criterion(r, [(t, s2) for t, s2, _ in rows], p=p)
+    garch_score = forecast_criterion(r, [(t, s2) for t, _, s2 in rows], p=p)
     if not (garch_score > 0.0):
         raise ValueError("benchmark score is zero; ratio undefined")
     return ForecastComparison(
@@ -166,4 +174,5 @@ def compare_forecasters(
         ratio=lave_score / garch_score,
         t0=common[0],
         p=p,
+        forecasts=rows,
     )

@@ -20,9 +20,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateWindowError
-from .estimator import EstimatorConfig, _prefix_sums, _scan_at_tau
+from .estimator import EstimatorConfig, batch_estimate
 from .series import PowerParams, ReturnSeries, sigma_to_theta
-from .transform import power_constants
 
 __all__ = [
     "ChangePointSpec",
@@ -200,36 +199,6 @@ def detectability_bound(rho: float) -> float:
     if not (0.0 < rho < 1.0):
         raise ValueError(f"rho must be in (0, 1), got {rho}")
     return (2.0 * rho + np.sqrt(2.0) * rho * (1.0 + rho)) / (1.0 - rho)
-
-
-def batch_estimate(returns: np.ndarray, config: EstimatorConfig):
-    """Run the adaptive scan at every tau >= t0 for many series at once.
-
-    returns has shape (replications, n). Gives (taus, sigma_hat, lens) where
-    sigma_hat and lens have shape (replications, taus.size); degenerate
-    windows appear as NaN / 0, matching estimate_path's gap convention.
-    """
-    returns = np.atleast_2d(np.asarray(returns, dtype=float))
-    params = power_constants(config.gamma)
-    n = returns.shape[1]
-    t0 = config.start_time
-    if t0 > n:
-        raise ValueError(f"t0={t0} exceeds series length {n}")
-    prefix = _prefix_sums(np.abs(returns) ** config.gamma)
-
-    taus = np.arange(t0, n + 1, dtype=np.int64)
-    reps = returns.shape[0]
-    theta = np.empty((reps, taus.size))
-    lens = np.empty((reps, taus.size), dtype=np.int64)
-    for i, tau in enumerate(taus):
-        chosen_len, theta_hat, _, degenerate = _scan_at_tau(
-            prefix, int(tau), config.m0, config.lam, params.s_gamma, config.max_len
-        )
-        theta[:, i] = np.where(degenerate, np.nan, theta_hat)
-        lens[:, i] = np.where(degenerate, 0, chosen_len)
-    with np.errstate(invalid="ignore"):
-        sigma = (theta / params.c_gamma) ** (1.0 / config.gamma)
-    return taus, sigma, lens
 
 
 def detection_delays(taus, lens, change_point: int, m0: int) -> np.ndarray:

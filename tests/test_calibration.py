@@ -13,13 +13,15 @@ import pytest
 
 from lave.calibration import (
     CalibrationSpec,
+    _max_test_ratios,
     calibrate_lambda,
     conservative_lambda,
     rejection_frequency,
     simulate_homogeneous,
 )
 from lave.errors import CalibrationBracketError
-from lave.estimator import _prefix_sums, _scan_at_tau
+from lave.estimator import _prefix_sums, _scan_at_tau, homogeneity_test
+from lave.series import TransformedSeries
 
 
 class TestSimulateHomogeneous:
@@ -73,6 +75,20 @@ class TestRejectionFrequency:
     def test_rejects_nonpositive_lambda(self):
         with pytest.raises(ValueError):
             rejection_frequency(0.0, self.spec())
+
+
+class TestMaxTestRatios:
+    def test_window_is_longest_multiple_of_m0_below_M(self, p05):
+        # M = 45 with m0 = 10: the longest candidate at tau = 45 has length
+        # 40, and every split divides that window, not all 45 points
+        spec = CalibrationSpec(gamma=0.5, M=45, m0=10, replications=40, seed=4)
+        ratios = _max_test_ratios(spec)
+        xi = np.random.default_rng(spec.seed).standard_normal((spec.replications, spec.M))
+        for ratio, row in zip(ratios, xi):
+            y = TransformedSeries(np.abs(row) ** 0.5 / p05.c_gamma, gamma=0.5)
+            tests = [homogeneity_test(y, 40, j, 45, 1.0, p05) for j in (10, 20, 30)]
+            expected = max(t.statistic / t.threshold for t in tests)
+            assert ratio == pytest.approx(expected, rel=1e-9)
 
 
 class TestCalibrateLambda:

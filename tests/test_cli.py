@@ -7,10 +7,15 @@ timestamp line and byte-level comparisons are meaningful.
 import csv
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lave
 from lave.cli import (
     DEFAULT_LAMBDA_TABLE,
     RunConfig,
@@ -69,6 +74,21 @@ class TestIngest:
         assert len(r) == 3
         assert "dropped 1" in caplog.text
 
+    def test_dropped_rows_warning_reaches_stderr(self, tmp_path):
+        # a fresh interpreter: pytest's log capture would hide the
+        # last-resort handler that prints the warning for a CLI user
+        f = tmp_path / "messy.csv"
+        write_lines(f, ["return", "0.1", "oops", "-0.2", "0.3", "0.05", "-0.4"])
+        src = str(Path(lave.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        argv = ["stats", "--input", str(f), "--out-dir", str(tmp_path), "--deterministic"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "lave.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "dropped 1" in proc.stderr
+
     def test_headerless_numbers_default_to_returns(self, tmp_path):
         f = tmp_path / "bare.csv"
         write_lines(f, ["0.5", "-0.5", "0.25"])
@@ -116,7 +136,6 @@ class TestConfigParsing:
             seed=9,
             out_dir=str(tmp_path),
             deterministic=True,
-            workers=3,
             input_path="data.csv",
             input_kind="returns",
             design="two-jump-5x",

@@ -1,0 +1,81 @@
+"""Property tests pinning the vectorized scan to the reference scan.
+
+At every tau, estimate_path and each row of batch_estimate must choose the
+same window length as select_interval, agree with its theta_hat within a
+relative difference of 1e-9, and leave a gap exactly where select_interval
+raises DegenerateWindowError. Inputs are piecewise-constant volatility
+returns with runs of exact zeros, over the grid steps m0 in {1, 2, 3, 10},
+with and without max_len, and as short as the first estimation time.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lave.errors import DegenerateWindowError
+from lave.estimator import EstimatorConfig, batch_estimate, estimate_path, select_interval
+from lave.series import ReturnSeries
+from lave.transform import power_constants, power_transform
+
+ROWS = 3
+
+
+@st.composite
+def scan_cases(draw):
+    m0 = draw(st.sampled_from([1, 2, 3, 10]))
+    t0 = draw(st.one_of(st.none(), st.integers(m0, 3 * m0)))
+    start = 2 * m0 if t0 is None else t0
+    # m0 = 1 scans every length, so its series stay short
+    n = draw(st.integers(start, start + (12 if m0 == 1 else 6 * m0)))
+    max_len = draw(st.one_of(st.none(), st.integers(m0, n + m0)))
+    config = EstimatorConfig(
+        gamma=draw(st.sampled_from([0.5, 1.0, 2.0])),
+        m0=m0,
+        lam=draw(st.floats(0.5, 4.0)),
+        t0=t0,
+        max_len=max_len,
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cut = rng.integers(0, n + 1)
+    sigma = np.where(np.arange(n) < cut, 1.0, draw(st.sampled_from([0.2, 1.0, 3.0, 5.0])))
+    rows = sigma * rng.standard_normal((ROWS, n))
+    for row in rows:
+        zero_len = draw(st.integers(0, 2 * m0 + 2))
+        zero_start = draw(st.integers(0, n))
+        row[zero_start : zero_start + zero_len] = 0.0
+    return config, rows
+
+
+def reference(y, tau, config, params):
+    """(chosen_len, theta_hat) from select_interval, or None for a gap."""
+    try:
+        sel = select_interval(y, tau, config.m0, config.lam, params, config.max_len)
+    except DegenerateWindowError:
+        return None
+    return sel.chosen_len, sel.theta_hat
+
+
+def assert_matches(length, theta, ref):
+    if ref is None:
+        assert length == 0 and np.isnan(theta)
+        return
+    assert length == ref[0]
+    assert abs(theta - ref[1]) <= 1e-9 * abs(ref[1])
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(scan_cases())
+def test_fast_paths_match_select_interval(case):
+    config, rows = case
+    params = power_constants(config.gamma)
+    taus, sigma_batch, lens_batch = batch_estimate(rows, config)
+    theta_batch = params.c_gamma * sigma_batch**config.gamma
+    for i, row in enumerate(rows):
+        r = ReturnSeries(row)
+        path = estimate_path(r, config)
+        np.testing.assert_array_equal(path.taus, taus)
+        y = power_transform(r, config.gamma)
+        for j, tau in enumerate(taus):
+            ref = reference(y, int(tau), config, params)
+            assert_matches(path.interval_len[j], path.theta_hat[j], ref)
+            assert_matches(lens_batch[i, j], theta_batch[i, j], ref)
