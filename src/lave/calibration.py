@@ -122,9 +122,9 @@ def _max_test_ratios(spec: CalibrationSpec) -> np.ndarray:
     m0, M = spec.m0, spec.M
     k = M // m0
     lengths = m0 * np.arange(1, k + 1)
-    prefix = _prefix_sums(y)
-    suffix = prefix[:, M, None] - prefix[:, M - lengths]
-    _, _, statistic, root = _split_terms(suffix, k, m0)
+    sums, _ = _prefix_sums(y)
+    suffix = sums[:, M, None] - sums[:, M - lengths]
+    statistic, root = _split_terms(suffix, k, m0)
     unit = params.s_gamma * root
     # zero unit threshold needs a zero window, which has probability 0
     # under the Gaussian draws; guard anyway to keep the max finite

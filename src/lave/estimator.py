@@ -10,9 +10,10 @@ theta_hat (its mean) and sigma_hat = (theta_hat / c_gamma)^(1/gamma).
 
 `select_interval` is the readable single-time reference implementation and
 keeps a full trace of every comparison. One module-private kernel
-reproduces its decisions from cumulative sums, vectorized across rows, and
-serves `estimate_path` (one row), `batch_estimate` (one row per Monte Carlo
-replication) and calibration; the test suite pins it to the reference.
+reproduces its decisions from cumulative sums and cumulative counts of
+nonzero values, vectorized across rows, and serves `estimate_path` (one
+row), `batch_estimate` (one row per Monte Carlo replication) and
+calibration; the test suite pins it to the reference.
 """
 
 from __future__ import annotations
@@ -284,20 +285,24 @@ def select_interval(
     )
 
 
-def _prefix_sums(values: np.ndarray) -> np.ndarray:
-    """Row-wise prefix sums with a leading zero: out[:, t] = sum of first t."""
+def _prefix_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise prefix sums and int32 prefix counts of nonzero values, each
+    with a leading zero. Differences of counts tell exactly whether a window
+    is all zeros; differences of sums may round a small window to zero."""
     rows = np.atleast_2d(np.asarray(values, dtype=float))
-    out = np.zeros((rows.shape[0], rows.shape[1] + 1))
-    np.cumsum(rows, axis=1, out=out[:, 1:])
-    return out
+    sums = np.zeros((rows.shape[0], rows.shape[1] + 1))
+    np.cumsum(rows, axis=1, out=sums[:, 1:])
+    counts = np.zeros(sums.shape, dtype=np.int32)
+    np.cumsum(rows != 0.0, axis=1, dtype=np.int32, out=counts[:, 1:])
+    return sums, counts
 
 
 def _split_terms(suffix: np.ndarray, k: int, m0: int):
     """Split arithmetic of candidate k on every row, one column per test
     length j = m0, ..., (k-1)*m0; suffix[:, i] sums the last (i+1)*m0 values.
 
-    Returns theta_test, theta_rest, statistic = |theta_rest - theta_test| and
-    root = sqrt(theta_test^2 / j + theta_rest^2 / (k*m0 - j)); a split
+    Returns statistic = |theta_rest - theta_test| of the two window means
+    and root = sqrt(theta_test^2 / j + theta_rest^2 / (k*m0 - j)); a split
     rejects at lam when statistic > lam * s_gamma * root.
     """
     test_lens = m0 * np.arange(1, k)
@@ -306,11 +311,11 @@ def _split_terms(suffix: np.ndarray, k: int, m0: int):
     theta_rest = (suffix[:, k - 1 : k] - suffix[:, : k - 1]) / rest_lens
     statistic = np.abs(theta_rest - theta_test)
     root = np.sqrt(theta_test**2 / test_lens + theta_rest**2 / rest_lens)
-    return theta_test, theta_rest, statistic, root
+    return statistic, root
 
 
 def _scan_at_tau(
-    prefix: np.ndarray,
+    prefix: tuple[np.ndarray, np.ndarray],
     tau: int,
     m0: int,
     lam: float,
@@ -319,33 +324,39 @@ def _scan_at_tau(
 ):
     """Vectorized replica of select_interval's decisions at a single tau.
 
-    prefix : (R, n+1) row-wise prefix sums of the transformed series.
-    Returns arrays over the R rows: chosen length, theta_hat, rejected
-    candidate length (0 when no rejection), and a degeneracy flag marking
-    rows where an examined window had zero mean (select_interval would have
-    raised on those rows).
+    prefix : (sums, counts) from _prefix_sums over R rows. Returns arrays
+    over the rows: chosen length, theta_hat, rejected candidate length (0
+    when none) and a flag for rows where select_interval would raise.
+
+    That flag is decided once: a row is degenerate exactly when one of the
+    m0-blocks 1..k counted back from tau is all zeros, k being the rejected
+    candidate or else the last. Every examined window holds block 1 or the
+    oldest block of its candidate, and each such block is itself examined
+    (the test window at j = m0, the rest window at j = (k-1)*m0).
     """
+    sums, counts = prefix
     top = tau if max_len is None else min(tau, int(max_len))
     n_cand = top // m0
     lengths = m0 * np.arange(1, n_cand + 1)
     # suffix[:, k-1] = sum of the last k*m0 values before tau
-    suffix = prefix[:, tau, None] - prefix[:, tau - lengths]
+    suffix = sums[:, tau, None] - sums[:, tau - lengths]
 
-    n_rows = prefix.shape[0]
+    n_rows = sums.shape[0]
     first_reject = np.zeros(n_rows, dtype=np.int64)  # candidate index k, 0 = none
     alive = np.ones(n_rows, dtype=bool)
-    degenerate = np.zeros(n_rows, dtype=bool)
     for k in range(2, n_cand + 1):
-        theta_test, theta_rest, statistic, root = _split_terms(suffix, k, m0)
+        statistic, root = _split_terms(suffix, k, m0)
         reject_any = (statistic > (lam * s_gamma) * root).any(axis=1)
-        zero_any = ((theta_test == 0.0) | (theta_rest == 0.0)).any(axis=1)
-        degenerate |= alive & zero_any
         first_reject[alive & reject_any] = k
         alive &= ~reject_any
 
+    k_examined = np.where(first_reject > 0, first_reject, n_cand)
+    edges = counts[:, tau - np.concatenate(([0], lengths))]
+    zero_block = edges[:, :-1] == edges[:, 1:]  # column k-1 is block k
+    degenerate = (zero_block & (np.arange(1, n_cand + 1) <= k_examined[:, None])).any(axis=1)
+
     chosen_k = np.where(first_reject > 0, first_reject - 1, n_cand)
     theta_hat = suffix[np.arange(n_rows), chosen_k - 1] / (chosen_k * m0)
-    degenerate |= theta_hat == 0.0
     return chosen_k * m0, theta_hat, first_reject * m0, degenerate
 
 
@@ -364,7 +375,7 @@ def _scan_path(values: np.ndarray, config: EstimatorConfig):
     prefix = _prefix_sums(values)
 
     taus = np.arange(t0, n + 1, dtype=np.int64)
-    theta = np.empty((prefix.shape[0], taus.size))
+    theta = np.empty((values.shape[0], taus.size))
     lens = np.empty(theta.shape, dtype=np.int64)
     for i, tau in enumerate(taus):
         chosen_len, theta_hat, _, degenerate = _scan_at_tau(

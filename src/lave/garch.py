@@ -137,10 +137,10 @@ def garch_fit(r: ReturnSeries, init: GarchParams | None = None) -> GarchParams:
         init = GarchParams(omega=0.1 * sigma0_sq, alpha=0.1, beta=0.8)
 
     def objective(z):
-        s2 = garch_filter(_unpack(z), r, sigma0_sq)
-        value = 0.5 * np.sum(np.log(s2) + values**2 / s2)
-        # retreat from any overflow region instead of erroring mid-search
-        return value if np.isfinite(value) else 1e12
+        try:
+            return -garch_loglik(_unpack(z), r, sigma0_sq)
+        except ValueError:  # non-finite: retreat instead of erroring mid-search
+            return 1e12
 
     result = optimize.minimize(
         objective,
@@ -175,16 +175,14 @@ def garch_simulate(params: GarchParams, n: int, seed: int) -> ReturnSeries:
     return ReturnSeries(r, origin_label=f"garch sim n={n} seed={seed}")
 
 
-def rolling_forecast(
-    r: ReturnSeries, window: int = 350, warm_start: bool = True
-) -> RollingForecast:
+def rolling_forecast(r: ReturnSeries, window: int = 350) -> RollingForecast:
     """One-step-ahead variance forecasts from rolling refits.
 
     For each t from window to n-1 the model is refitted on the last
-    `window` observations (warm-started from the previous optimum unless
-    warm_start is False) and the forecast omega + alpha R_t^2 +
-    beta sigma2_t is emitted for t+1. A window whose fit fails to converge
-    reuses the previous parameters and is flagged in fallback_times.
+    `window` observations, warm-started from the previous optimum, and the
+    forecast omega + alpha R_t^2 + beta sigma2_t is emitted for t+1. A
+    window whose fit fails to converge reuses the previous parameters and
+    is flagged in fallback_times.
     """
     n = len(r)
     if window < 50:
@@ -197,9 +195,8 @@ def rolling_forecast(
     params = None
     for t in range(window, n):
         chunk = ReturnSeries(values[t - window : t], origin_label=f"window@{t}")
-        init = params if (warm_start and params is not None) else None
         try:
-            params = garch_fit(chunk, init=init)
+            params = garch_fit(chunk, init=params)
         except GarchConvergenceError as exc:
             fallbacks.append(t)
             params = params if params is not None else exc.best_params

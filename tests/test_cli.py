@@ -259,6 +259,16 @@ class TestCommands:
         assert len(c_rows) == 221
         assert {r[1] for r in c_rows} == {"1.0", "3.0"}
 
+    def test_simulate_names_a_substituted_curve(self, tmp_path, caplog):
+        cfg = RunConfig(
+            command="simulate", design="two-jump-3x", replications=10,
+            gamma_grid="0.5", lambdas="0.5:40:2.40", curves_for="1.0,80",
+            out_dir=str(tmp_path), deterministic=True,
+        )
+        with caplog.at_level(logging.WARNING, logger="lave.cli"):
+            assert dispatch(cfg) == 0
+        assert "--curves-for gamma=1.0, M=80 was not computed; writing gamma=0.5, M=40" in caplog.text
+
     def test_backtest_outputs(self, tmp_path):
         f = tmp_path / "returns.csv"
         write_returns(f, np.random.default_rng(2).standard_normal(160))
@@ -306,6 +316,38 @@ class TestCommands:
             assert header == ["lag", "value"]
             assert len(rows) == 21
             assert float(rows[0][1]) == 1.0
+
+
+class TestThresholdSources:
+    """--lam table:M|auto:M and --lambdas table|auto resolve through one path."""
+
+    def test_missing_table_entry_fails_alike(self, tmp_path, capsys):
+        common = ["--design", "two-jump-3x", "--out-dir", str(tmp_path), "--deterministic"]
+        assert main(["estimate", "--gamma", "1.5", "--lam", "table:40", *common]) == 4
+        from_estimate = capsys.readouterr().err
+        argv = ["simulate", "--gamma-grid", "1.5", "--lambdas", "table", "--reps", "5", *common]
+        assert main(argv) == 4
+        assert "no shipped threshold for gamma=1.5, M=40" in from_estimate
+        assert capsys.readouterr().err == from_estimate
+
+    def test_auto_cell_equals_calibrate(self, tmp_path):
+        sim = RunConfig(
+            command="simulate", design="two-jump-3x", replications=10, gamma_grid="1.0",
+            lambdas="auto", curves_for="1.0,80", seed=3,
+            out_dir=str(tmp_path / "sim"), deterministic=True,
+        )
+        assert dispatch(sim) == 0
+        _, rows = read_output(tmp_path / "sim" / "errors.csv")
+        cells = {int(r[2]): r[1] for r in rows}
+        assert sorted(cells) == [40, 80]
+        for m, lam in cells.items():
+            cal = RunConfig(
+                command="calibrate", gamma=1.0, m_ref=m, seed=3,
+                out_dir=str(tmp_path / f"cal{m}"), deterministic=True,
+            )
+            assert dispatch(cal) == 0
+            _, (row,) = read_output(tmp_path / f"cal{m}" / "calibrate.csv")
+            assert row[4] == lam
 
 
 class TestExitCodes:
