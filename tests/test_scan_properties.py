@@ -8,14 +8,25 @@ returns with runs of exact zeros, over the grid steps m0 in {1, 2, 3, 10},
 with and without max_len, and as short as the first estimation time. One
 fixed example puts values many orders of magnitude smaller after large
 ones, where a window sum taken from prefix sums rounds to zero.
+
+EstimatePath.rejected_at is pinned to select_interval's rejected_at on the
+same inputs. Exact ties at the threshold are not matched: one such case is
+kept as a strict xfail that names the cause.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lave.errors import DegenerateWindowError
-from lave.estimator import EstimatorConfig, batch_estimate, estimate_path, select_interval
+from lave.estimator import (
+    EstimatorConfig,
+    batch_estimate,
+    estimate_path,
+    homogeneity_test,
+    select_interval,
+)
 from lave.series import ReturnSeries
 from lave.transform import power_constants, power_transform
 
@@ -87,3 +98,42 @@ def test_fast_paths_match_select_interval(case):
             ref = reference(y, int(tau), config, params)
             assert_matches(path.interval_len[j], path.theta_hat[j], ref)
             assert_matches(lens_batch[i, j], theta_batch[i, j], ref)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(scan_cases())
+def test_rejected_at_matches_select_interval(case):
+    """EstimatePath.rejected_at is select_interval's first rejected length
+    (0 for none) at every tau, and 0 at gaps."""
+    config, rows = case
+    params = power_constants(config.gamma)
+    for row in rows:
+        r = ReturnSeries(row)
+        path = estimate_path(r, config)
+        y = power_transform(r, config.gamma)
+        for tau, rejected_at in zip(path.taus, path.rejected_at):
+            try:
+                sel = select_interval(y, int(tau), config.m0, config.lam, params, config.max_len)
+            except DegenerateWindowError:
+                assert rejected_at == 0
+                continue
+            assert rejected_at == (sel.rejected_at or 0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="exact tie: the kernel forms window means from prefix-sum differences "
+    "and decides statistic > (lam * s_gamma) * root, so at statistic == threshold "
+    "its rounding differs from homogeneity_test's at the ulp level and it rejects",
+)
+def test_exact_tie_at_the_threshold_keeps_the_window():
+    # homogeneity_test gives statistic == threshold exactly for this lam
+    config = EstimatorConfig(gamma=1.0, m0=1, lam=1.2138413517790783, t0=2)
+    r = ReturnSeries(np.array([0.24, 3.0]))
+    params = power_constants(config.gamma)
+    y = power_transform(r, config.gamma)
+    ht = homogeneity_test(y, 2, 1, 2, config.lam, params)
+    assert ht.statistic == ht.threshold
+    sel = select_interval(y, 2, config.m0, config.lam, params)
+    assert sel.chosen_len == 2
+    assert estimate_path(r, config).interval_len[-1] == sel.chosen_len
