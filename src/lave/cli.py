@@ -5,6 +5,8 @@ Every output CSV starts with '#' comment lines that echo the parsed
 configuration as a flag string; parsing that string reproduces the same
 RunConfig, so a run is fully described by its own output header. Exit codes:
 0 success, 2 usage, 3 input data, 4 domain or numeric, 5 nonconvergence.
+Log records of the `lave` loggers go to stderr at --log-level (default
+warning); the level is not part of RunConfig, so it never changes an output.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import logging
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -181,6 +184,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--curves-for", default="0.5,80",
         help="GAMMA,M combination written to curves.csv",
     )
+    common.add_argument(
+        "--log-level", choices=["debug", "info", "warning", "error"], default="warning",
+        help="least severe log message printed to stderr",
+    )
 
     parser = argparse.ArgumentParser(
         prog="lave", description="Adaptive local-window volatility estimation toolkit"
@@ -200,7 +207,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config(argv) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
+    return _run_config(_build_parser().parse_args(argv))
+
+
+def _run_config(ns: argparse.Namespace) -> RunConfig:
     if ns.auto_M is not None:
         ns.lam = f"auto:{ns.auto_M}"
     kwargs = {f.name: getattr(ns, f.name) for f in fields(RunConfig)}
@@ -476,6 +486,9 @@ def _cmd_backtest(cfg: RunConfig) -> Path:
     r = _require_input(cfg)
     config, m_label = _estimator_config(cfg)
     comparison = compare_forecasters(r, config, garch_window=cfg.garch_window, p=cfg.p)
+    if comparison.garch_fallback_times:
+        log.warning("%d GARCH refits did not converge; their forecasts reuse the previous "
+                    "parameters", len(comparison.garch_fallback_times))
     label = r.origin_label or "series"
     _write_csv(
         cfg,
@@ -555,12 +568,30 @@ def dispatch(cfg: RunConfig) -> int:
     return 0
 
 
+@contextmanager
+def _log_to_stderr(level: str):
+    """Print records of the `lave` loggers at level and above to stderr
+    while the block runs, then restore the logger."""
+    logger = logging.getLogger("lave")
+    handler = logging.StreamHandler()
+    handler.setFormatter(logging.Formatter("%(name)s: %(levelname)s: %(message)s"))
+    saved = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(level.upper())
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(saved)
+
+
 def main(argv=None) -> int:
     try:
-        cfg = parse_config(argv if argv is not None else sys.argv[1:])
+        ns = _build_parser().parse_args(argv if argv is not None else sys.argv[1:])
     except SystemExit as exc:
         return int(exc.code or 0)
-    return dispatch(cfg)
+    with _log_to_stderr(ns.log_level):
+        return dispatch(_run_config(ns))
 
 
 if __name__ == "__main__":

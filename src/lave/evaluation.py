@@ -50,7 +50,9 @@ class ForecastComparison:
 
     forecasts holds the scored rows (t, lave_sigma_sq, garch_sigma_sq), one
     per common forecast origin t in increasing order: the two variance
-    forecasts made at t for t+1.
+    forecasts made at t for t+1. garch_fallback_times holds the origins
+    whose GARCH refit did not converge and reused the previous parameters
+    (RollingForecast.fallback_times).
     """
 
     lave_score: float
@@ -59,6 +61,7 @@ class ForecastComparison:
     t0: int
     p: float
     forecasts: tuple
+    garch_fallback_times: tuple
 
 
 def forecast_criterion(r: ReturnSeries, forecasts, p: float = 0.5) -> float:
@@ -152,7 +155,8 @@ def compare_forecasters(
     the common origins t (so t >= max(garch_window, adaptive start) and
     t <= n-1) with the robust criterion, p = 0.5 by default. ratio < 1
     means the adaptive forecaster wins. The scored rows
-    (t, lave_sigma_sq, garch_sigma_sq) are returned as `forecasts`.
+    (t, lave_sigma_sq, garch_sigma_sq) are returned as `forecasts`, and
+    the origins whose GARCH refit fell back as `garch_fallback_times`.
     """
     path = estimate_path(r, lave_cfg)
     lave_by_t = dict(path.forecasts())
@@ -175,4 +179,5 @@ def compare_forecasters(
         t0=common[0],
         p=p,
         forecasts=rows,
+        garch_fallback_times=garch.fallback_times,
     )

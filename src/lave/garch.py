@@ -3,9 +3,20 @@ and the rolling one-step-ahead forecast pipeline.
 
 The variance recursion is sigma2_t = omega + alpha * R_{t-1}^2 +
 beta * sigma2_{t-1} with sigma2_1 supplied by the caller. Fitting maximizes
-the Gaussian log likelihood with a derivative-free simplex search on an
-unconstrained reparameterization, which keeps every iterate inside
-{omega > 0, alpha >= 0, beta >= 0, alpha + beta <= 1 - 1e-6}.
+the Gaussian log likelihood on an unconstrained reparameterization
+(log omega, logit persistence, logit split), which keeps every iterate
+inside {omega > 0, alpha >= 0, beta >= 0, alpha + beta <= 1 - 1e-6}.
+
+A fit from the default start uses a Nelder-Mead simplex search. A fit
+warm-started from given parameters, as each refit of rolling_forecast is,
+uses BFGS with the analytic score: the derivatives of sigma2_t follow the
+recursion d sigma2_t = (1, R_{t-1}^2, sigma2_{t-1}) + beta d sigma2_{t-1}
+with d sigma2_1 = 0, one more IIR filter pass with the same denominator.
+The two do not always end at the same maximum when the likelihood has
+several. From the default start BFGS can take a different local maximum
+than the simplex, so cold fits keep the simplex. A warm BFGS refit stays
+near its start, where the simplex's wider first steps sometimes reach a
+higher maximum.
 """
 
 from __future__ import annotations
@@ -85,7 +96,12 @@ def garch_filter(params: GarchParams, r: ReturnSeries, sigma0_sq: float) -> np.n
     values = r.values
     if values.size == 1:
         return np.array([float(sigma0_sq)])
-    drive = params.omega + params.alpha * values[:-1] ** 2
+    return _variance_path(params, values**2, sigma0_sq)
+
+
+def _variance_path(params: GarchParams, r2: np.ndarray, sigma0_sq: float) -> np.ndarray:
+    # the recursion on squared returns r2, at least two of them
+    drive = params.omega + params.alpha * r2[:-1]
     tail, _ = signal.lfilter(
         [1.0], [1.0, -params.beta], drive, zi=[params.beta * sigma0_sq]
     )
@@ -118,14 +134,46 @@ def _unpack(z: np.ndarray) -> GarchParams:
     return GarchParams(omega=omega, alpha=q * f, beta=q * (1.0 - f))
 
 
+def _loglik_and_grad(z: np.ndarray, r2: np.ndarray, sigma0_sq: float):
+    """Negative log likelihood at _unpack(z) and its gradient in z.
+
+    Returns (1e12, zeros(3)) where either is not finite, so a line search
+    retreats instead of erroring.
+    """
+    params = _unpack(z)
+    s2 = _variance_path(params, r2, sigma0_sq)
+    value = 0.5 * float(np.sum(np.log(s2) + r2 / s2))
+    # d s2_t / d(omega, alpha, beta) for t >= 2; zero at t = 1
+    drives = np.stack((np.ones(r2.size - 1), r2[:-1], s2[:-1]))
+    ds2 = signal.lfilter([1.0], [1.0, -params.beta], drives, axis=1)
+    score = ds2 @ (0.5 * (s2[1:] - r2[1:]) / s2[1:] ** 2)
+    # chain through _unpack; np.clip there has zero gradient where it binds
+    s = float(special.expit(np.clip(z[1], -40.0, 40.0)))
+    f = float(special.expit(np.clip(z[2], -40.0, 40.0)))
+    q = (1.0 - _MARGIN) * s
+    jacobian = np.array([
+        [params.omega, 0.0, 0.0],
+        [0.0, f * q * (1.0 - s), (1.0 - f) * q * (1.0 - s)],
+        [0.0, q * f * (1.0 - f), -q * f * (1.0 - f)],
+    ])
+    grad = np.where(np.abs(z) <= 40.0, jacobian @ score, 0.0)
+    if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+        return 1e12, np.zeros(3)
+    return value, grad
+
+
 def garch_fit(r: ReturnSeries, init: GarchParams | None = None) -> GarchParams:
     """Maximum-likelihood fit of the variance recursion.
 
-    Simplex search on the reparameterized (log scale, logit persistence,
-    logit split) domain; deterministic given the data and the starting
-    point. The first variance is pinned to the sample variance of the
-    window. Raises GarchConvergenceError with the best parameters seen
-    when the optimizer hits its iteration budget.
+    Searches the reparameterized (log scale, logit persistence, logit
+    split) domain; deterministic given the data and the starting point.
+    Without init the search is a Nelder-Mead simplex from omega = 0.1 *
+    sample variance, alpha = 0.1, beta = 0.8. With init it is BFGS on the
+    analytic score, started at init; it has converged when it ends with
+    status 0, or with status 2 (precision loss) at a gradient below 1e-4
+    in every coordinate. The first variance is pinned to the sample
+    variance of the window. Raises GarchConvergenceError with the best
+    parameters seen when the search does not converge.
     """
     values = r.values
     if values.size < 50:
@@ -133,25 +181,37 @@ def garch_fit(r: ReturnSeries, init: GarchParams | None = None) -> GarchParams:
     sigma0_sq = float(np.var(values))
     if not (sigma0_sq > 0.0):
         raise ValueError("sample variance must be positive")
-    if init is None:
-        init = GarchParams(omega=0.1 * sigma0_sq, alpha=0.1, beta=0.8)
+    if init is not None:
+        result = optimize.minimize(
+            _loglik_and_grad,
+            _pack(init),
+            args=(values**2, sigma0_sq),
+            jac=True,
+            method="BFGS",
+            options={"gtol": 1e-9},
+        )
+        converged = result.status == 0 or (
+            result.status == 2 and float(np.max(np.abs(result.jac))) < 1e-4
+        )
+    else:
 
-    def objective(z):
-        try:
-            return -garch_loglik(_unpack(z), r, sigma0_sq)
-        except ValueError:  # non-finite: retreat instead of erroring mid-search
-            return 1e12
+        def objective(z):
+            try:
+                return -garch_loglik(_unpack(z), r, sigma0_sq)
+            except ValueError:  # non-finite: retreat instead of erroring mid-search
+                return 1e12
 
-    result = optimize.minimize(
-        objective,
-        _pack(init),
-        method="Nelder-Mead",
-        options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 4000, "maxfev": 8000},
-    )
+        result = optimize.minimize(
+            objective,
+            _pack(GarchParams(omega=0.1 * sigma0_sq, alpha=0.1, beta=0.8)),
+            method="Nelder-Mead",
+            options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 4000, "maxfev": 8000},
+        )
+        converged = result.success
     best = _unpack(result.x)
-    if not result.success:
+    if not converged:
         raise GarchConvergenceError(
-            f"fit did not converge within the iteration budget: {result.message}",
+            f"fit did not converge: {result.message}",
             best_params=best,
             best_loglik=-float(result.fun),
         )

@@ -12,7 +12,8 @@ import math
 import numpy as np
 import pytest
 
-from lave.errors import DegenerateWindowError
+import lave.garch as garch_mod
+from lave.errors import DegenerateWindowError, GarchConvergenceError
 from lave.estimator import EstimatorConfig, estimate_path
 from lave.evaluation import (
     ForecastComparison,
@@ -223,3 +224,19 @@ class TestCompareForecasters:
         cfg = EstimatorConfig(gamma=0.5, m0=10, lam=2.74, t0=100)
         with pytest.raises(ValueError):
             compare_forecasters(r, cfg, garch_window=50)
+
+    def test_garch_fallbacks_are_reported(self, monkeypatch):
+        real_fit = garch_mod.garch_fit
+        calls = {"n": 0}
+
+        def flaky(r, init=None):
+            calls["n"] += 1
+            if calls["n"] in (2, 5):
+                raise GarchConvergenceError("budget", best_params=None, best_loglik=0.0)
+            return real_fit(r, init=init)
+
+        monkeypatch.setattr(garch_mod, "garch_fit", flaky)
+        r = ReturnSeries(np.random.default_rng(21).standard_normal(120))
+        comp = compare_forecasters(r, CFG, garch_window=100)
+        assert comp.garch_fallback_times == (101, 104)
+        assert len(comp.forecasts) == 20

@@ -308,3 +308,93 @@ class TestRollingForecast:
         s2 = garch_filter(prev, chunk, float(np.var(chunk.values)))[-1]
         expect = prev.omega + prev.alpha * values[51] ** 2 + prev.beta * s2
         assert rf.forecasts[2] == (52, pytest.approx(expect, rel=1e-12))
+
+
+def _benchmark_returns(seed: int, n: int = 600) -> np.ndarray:
+    # the recipe of the benchmark's backtest-600 input: seeded GARCH(1,1)
+    # percent returns started at the long-run variance, 200-step burn-in
+    rng = np.random.default_rng([seed, 2])
+    alpha = rng.uniform(0.05, 0.12)
+    beta = rng.uniform(0.80, 0.90)
+    omega = rng.uniform(0.02, 0.08)
+    burn = 200
+    xi = rng.standard_normal(n + burn)
+    r = np.empty(n + burn)
+    s2 = omega / (1.0 - alpha - beta)
+    for t in range(n + burn):
+        r[t] = np.sqrt(s2) * xi[t]
+        s2 = omega + alpha * r[t] ** 2 + beta * s2
+    return r[burn:]
+
+
+class TestAnalyticScore:
+    @pytest.mark.parametrize(
+        "params",
+        [
+            TRUE,
+            GarchParams(omega=0.01, alpha=0.1, beta=0.9 - 2e-6),  # persistence 1 - 2e-6
+            GarchParams(omega=0.3, alpha=1e-9, beta=0.6),  # alpha near 0
+            GarchParams(omega=1.0, alpha=0.3, beta=0.2),
+        ],
+    )
+    def test_matches_central_differences(self, params):
+        r = garch_simulate(TRUE, 350, seed=3)
+        s0 = float(np.var(r.values))
+        z = garch_mod._pack(params)
+        value, grad = garch_mod._loglik_and_grad(z, r.values**2, s0)
+        assert value == -garch_loglik(garch_mod._unpack(z), r, s0)
+
+        def objective(x):
+            return -garch_loglik(garch_mod._unpack(x), r, s0)
+
+        h = 1e-6
+        fd = np.array([(objective(z + h * e) - objective(z - h * e)) / (2 * h) for e in np.eye(3)])
+        scale = float(np.max(np.abs(fd)))
+        np.testing.assert_allclose(grad, fd, rtol=0, atol=1e-5 * scale)
+
+    def test_zero_where_the_box_clips(self):
+        r = garch_simulate(TRUE, 350, seed=3)
+        z = np.array([np.log(0.05), 45.0, -41.0])
+        _, grad = garch_mod._loglik_and_grad(z, r.values**2, float(np.var(r.values)))
+        assert grad[0] != 0.0
+        assert grad[1] == 0.0 and grad[2] == 0.0
+
+
+class TestWarmFits:
+    def test_cold_fit_and_rolling_forecast_on_the_benchmark_input(self):
+        # frozen from the Nelder-Mead engine before warm refits used BFGS:
+        # the cold fit is that engine unchanged, so it must agree bit for bit
+        values = _benchmark_returns(7)
+        cold = garch_fit(ReturnSeries(values[:350]))
+        assert (cold.omega, cold.alpha, cold.beta) == (
+            0.0666791310119367, 0.023093161771008293, 0.9144633414457719,
+        )
+        rf = rolling_forecast(ReturnSeries(values), window=350)
+        assert rf.fallback_times == ()
+        t, last = rf.forecasts[-1]
+        assert t == 599
+        assert last == pytest.approx(0.6051146777082796, rel=1e-6)
+
+    @pytest.mark.parametrize("radius", [0.0, 1.0, 2.0, 3.0])
+    def test_non_finite_retreat_converges_or_raises(self, monkeypatch, radius):
+        # every trial point farther than radius from the start meets the
+        # non-finite retreat; radius 0 leaves the search no move at all, and
+        # the unwalled optimum lies 1.59 from the start
+        r = garch_simulate(TRUE, 350, seed=3)
+        start = GarchParams(omega=0.08, alpha=0.15, beta=0.7)
+        z0 = garch_mod._pack(start)
+        real = garch_mod._loglik_and_grad
+
+        def walled(z, r2, sigma0_sq):
+            if np.max(np.abs(z - z0)) > radius:
+                return 1e12, np.zeros(3)
+            return real(z, r2, sigma0_sq)
+
+        monkeypatch.setattr(garch_mod, "_loglik_and_grad", walled)
+        try:
+            fitted = garch_fit(r, init=start)
+        except GarchConvergenceError as exc:
+            assert isinstance(exc.best_params, GarchParams)
+        else:
+            assert isinstance(fitted, GarchParams)
+            assert np.max(np.abs(garch_mod._pack(fitted) - z0)) <= radius
