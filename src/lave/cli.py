@@ -5,8 +5,6 @@ Every output CSV starts with '#' comment lines that echo the parsed
 configuration as a flag string; parsing that string reproduces the same
 RunConfig, so a run is fully described by its own output header. Exit codes:
 0 success, 2 usage, 3 input data, 4 domain or numeric, 5 nonconvergence.
-Log records of the `lave` loggers go to stderr at --log-level (default
-warning); the level is not part of RunConfig, so it never changes an output.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ import logging
 import os
 import sys
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -184,10 +181,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--curves-for", default="0.5,80",
         help="GAMMA,M combination written to curves.csv",
     )
-    common.add_argument(
-        "--log-level", choices=["debug", "info", "warning", "error"], default="warning",
-        help="least severe log message printed to stderr",
-    )
 
     parser = argparse.ArgumentParser(
         prog="lave", description="Adaptive local-window volatility estimation toolkit"
@@ -207,10 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config(argv) -> RunConfig:
-    return _run_config(_build_parser().parse_args(argv))
-
-
-def _run_config(ns: argparse.Namespace) -> RunConfig:
+    ns = _build_parser().parse_args(argv)
     if ns.auto_M is not None:
         ns.lam = f"auto:{ns.auto_M}"
     kwargs = {f.name: getattr(ns, f.name) for f in fields(RunConfig)}
@@ -568,30 +558,12 @@ def dispatch(cfg: RunConfig) -> int:
     return 0
 
 
-@contextmanager
-def _log_to_stderr(level: str):
-    """Print records of the `lave` loggers at level and above to stderr
-    while the block runs, then restore the logger."""
-    logger = logging.getLogger("lave")
-    handler = logging.StreamHandler()
-    handler.setFormatter(logging.Formatter("%(name)s: %(levelname)s: %(message)s"))
-    saved = logger.level
-    logger.addHandler(handler)
-    logger.setLevel(level.upper())
-    try:
-        yield
-    finally:
-        logger.removeHandler(handler)
-        logger.setLevel(saved)
-
-
 def main(argv=None) -> int:
     try:
-        ns = _build_parser().parse_args(argv if argv is not None else sys.argv[1:])
+        cfg = parse_config(argv if argv is not None else sys.argv[1:])
     except SystemExit as exc:
         return int(exc.code or 0)
-    with _log_to_stderr(ns.log_level):
-        return dispatch(_run_config(ns))
+    return dispatch(cfg)
 
 
 if __name__ == "__main__":

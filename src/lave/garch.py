@@ -14,9 +14,10 @@ recursion d sigma2_t = (1, R_{t-1}^2, sigma2_{t-1}) + beta d sigma2_{t-1}
 with d sigma2_1 = 0, one more IIR filter pass with the same denominator.
 The two do not always end at the same maximum when the likelihood has
 several. From the default start BFGS can take a different local maximum
-than the simplex, so cold fits keep the simplex. A warm BFGS refit stays
-near its start, where the simplex's wider first steps sometimes reach a
-higher maximum.
+than the simplex, so cold fits keep the simplex. A warm BFGS refit that
+starts with persistence at its cap, a local maximum flat in the logit of
+persistence, stays there; the simplex sometimes stepped off it to a
+higher interior maximum.
 """
 
 from __future__ import annotations
@@ -147,14 +148,15 @@ def _loglik_and_grad(z: np.ndarray, r2: np.ndarray, sigma0_sq: float):
     drives = np.stack((np.ones(r2.size - 1), r2[:-1], s2[:-1]))
     ds2 = signal.lfilter([1.0], [1.0, -params.beta], drives, axis=1)
     score = ds2 @ (0.5 * (s2[1:] - r2[1:]) / s2[1:] ** 2)
-    # chain through _unpack; np.clip there has zero gradient where it binds
-    s = float(special.expit(np.clip(z[1], -40.0, 40.0)))
-    f = float(special.expit(np.clip(z[2], -40.0, 40.0)))
-    q = (1.0 - _MARGIN) * s
+    # chain through _unpack: omega = e^z0, (alpha, beta) = q (f, 1 - f) with
+    # q = (1 - _MARGIN) expit(z1), f = expit(z2); its clip has zero gradient
+    q = params.persistence
+    tail = 1.0 - q / (1.0 - _MARGIN)  # 1 - expit(z1)
+    split = params.alpha * params.beta / q  # q f (1 - f)
     jacobian = np.array([
         [params.omega, 0.0, 0.0],
-        [0.0, f * q * (1.0 - s), (1.0 - f) * q * (1.0 - s)],
-        [0.0, q * f * (1.0 - f), -q * f * (1.0 - f)],
+        [0.0, params.alpha * tail, params.beta * tail],
+        [0.0, split, -split],
     ])
     grad = np.where(np.abs(z) <= 40.0, jacobian @ score, 0.0)
     if not (np.isfinite(value) and np.all(np.isfinite(grad))):

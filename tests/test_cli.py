@@ -397,38 +397,7 @@ class TestReproducibility:
 
 
 class TestLogging:
-    def messy_input(self, tmp_path):
-        f = tmp_path / "messy.csv"
-        values = np.random.default_rng(5).standard_normal(90)
-        lines = ["return"] + [repr(float(v)) for v in values[:40]] + ["oops"]
-        write_lines(f, lines + [repr(float(v)) for v in values[40:]])
-        return f
-
-    def test_dropped_rows_warning_reaches_stderr_by_default(self, tmp_path, capsys):
-        f = self.messy_input(tmp_path)
-        assert main(["stats", "--input", str(f), "--out-dir", str(tmp_path)]) == 0
-        assert "lave.cli: WARNING: dropped 1 non-numeric rows" in capsys.readouterr().err
-
-    def test_log_level_error_silences_the_warning(self, tmp_path, capsys):
-        f = self.messy_input(tmp_path)
-        argv = ["stats", "--input", str(f), "--out-dir", str(tmp_path), "--log-level", "error"]
-        assert main(argv) == 0
-        assert "dropped" not in capsys.readouterr().err
-
-    def test_deterministic_outputs_do_not_depend_on_the_level(self, tmp_path, capsys):
-        f = self.messy_input(tmp_path)
-        outputs = []
-        out = tmp_path / "out"
-        for level in ("debug", "info", "warning", "error"):
-            argv = ["backtest", "--input", str(f), "--garch-window", "60", "--lam", "2.74",
-                    "--out-dir", str(out), "--deterministic", "--log-level", level]
-            assert main(argv) == 0
-            outputs.append([(out / name).read_bytes()
-                            for name in ("comparison.csv", "forecasts.csv")])
-        assert all(o == outputs[0] for o in outputs[1:])
-        assert b"log-level" not in outputs[0][0]
-
-    def test_backtest_warns_once_with_the_fallback_count(self, tmp_path, capsys, monkeypatch):
+    def test_backtest_warns_once_with_the_fallback_count(self, tmp_path, caplog, monkeypatch):
         real_fit = garch_mod.garch_fit
         calls = {"n": 0}
 
@@ -443,12 +412,22 @@ class TestLogging:
         write_returns(f, np.random.default_rng(2).standard_normal(80))
         argv = ["backtest", "--input", str(f), "--garch-window", "60", "--lam", "2.74",
                 "--out-dir", str(tmp_path), "--deterministic"]
-        assert main(argv) == 0
-        err = capsys.readouterr().err
-        assert err.count("GARCH refits did not converge") == 1
-        assert "3 GARCH refits did not converge" in err
+        with caplog.at_level(logging.WARNING, logger="lave"):
+            assert main(argv) == 0
+        warnings = [rec for rec in caplog.records if "GARCH refits" in rec.getMessage()]
+        assert [(rec.name, rec.levelno) for rec in warnings] == [("lave.cli", logging.WARNING)]
+        assert warnings[0].getMessage().startswith("3 GARCH refits did not converge")
         header, rows = read_output(tmp_path / "comparison.csv")
         assert header == [
             "label", "gamma", "M_label", "ratio", "lave_score", "garch_score", "t0", "p",
         ]
         assert len(rows) == 1
+
+    def test_backtest_is_quiet_without_fallbacks(self, tmp_path, caplog):
+        f = tmp_path / "returns.csv"
+        write_returns(f, np.random.default_rng(2).standard_normal(80))
+        argv = ["backtest", "--input", str(f), "--garch-window", "60", "--lam", "2.74",
+                "--out-dir", str(tmp_path), "--deterministic"]
+        with caplog.at_level(logging.WARNING, logger="lave"):
+            assert main(argv) == 0
+        assert caplog.records == []

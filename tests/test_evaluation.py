@@ -240,3 +240,50 @@ class TestCompareForecasters:
         comp = compare_forecasters(r, CFG, garch_window=100)
         assert comp.garch_fallback_times == (101, 104)
         assert len(comp.forecasts) == 20
+
+
+# Gate 09's series refitted by the Nelder-Mead simplex from the previous
+# optimum at every window (before warm refits used BFGS), seeds 0-19: the
+# half-power adaptive/GARCH ratio and the mean log likelihood of the 250 fits.
+SIMPLEX_REFIT_RATIOS = (
+    0.91956, 1.00945, 0.94850, 0.96610, 0.97791, 0.98514, 0.94879, 0.98989,
+    1.02146, 0.99547, 0.96401, 0.96397, 1.03753, 0.95680, 0.97176, 0.96731,
+    0.93978, 1.00739, 0.97987, 1.05243,
+)
+SIMPLEX_REFIT_MEAN_LOGLIK = (
+    -428.75683, -369.82578, -415.45026, -400.05575, -408.69757, -398.99083,
+    -407.03591, -378.40977, -405.23815, -417.28364, -414.14256, -415.07473,
+    -411.23501, -423.93586, -395.13517, -401.67020, -424.37206, -385.68845,
+    -436.76283, -387.10276,
+)
+
+
+class TestBreakSeriesGarch:
+    def test_warm_refits_stay_near_the_simplex_on_gate_09_series(self, monkeypatch):
+        # A warm BFGS refit that starts with persistence on its cap stays
+        # there, where the simplex sometimes stepped to a higher interior
+        # maximum; the GARCH forecasts then score worse and gate 09's ratio
+        # falls. Measured worst: mean log likelihood 0.357 below the simplex
+        # and ratio 0.95680 -> 0.93892, both seed 13. Refits frozen at the
+        # first window's fit fall up to 2.07 below.
+        real_fit = garch_mod.garch_fit
+        logliks = []
+
+        def recording(r, init=None):
+            params = real_fit(r, init=init)
+            logliks.append(garch_mod.garch_loglik(params, r, float(np.var(r.values))))
+            return params
+
+        monkeypatch.setattr(garch_mod, "garch_fit", recording)
+        alternating = tuple((60, 1.0) if i % 2 == 0 else (60, 3.0) for i in range(10))
+        loglik_gap, ratio_drift = [], []
+        for seed in range(20):
+            r, _ = generate_change_point_series(ChangePointSpec(alternating, seed=seed))
+            logliks.clear()
+            comp = compare_forecasters(r, CFG, garch_window=350)
+            assert comp.garch_fallback_times == ()
+            assert len(logliks) == 250
+            loglik_gap.append(SIMPLEX_REFIT_MEAN_LOGLIK[seed] - float(np.mean(logliks)))
+            ratio_drift.append(comp.ratio - SIMPLEX_REFIT_RATIOS[seed])
+        assert max(loglik_gap) <= 0.4, [round(g, 5) for g in loglik_gap]
+        assert min(ratio_drift) >= -0.02, [round(d, 5) for d in ratio_drift]
