@@ -202,9 +202,9 @@ def test_09_adaptive_beats_garch_after_breaks():
     # twenty seeded series with recurring level shifts: the half-power
     # adaptive forecaster should beat squared returns head-to-head in at
     # least 16 of 20 and beat rolling GARCH outright in a majority. Rolling
-    # GARCH refits each window by a warm local search (BFGS from the previous
-    # optimum); test_evaluation.py::TestBreakSeriesGarch bounds how far that
-    # lowers these ratios against simplex refits.
+    # GARCH refits each window by a warm local search (Newton steps from the
+    # previous optimum); test_evaluation.py::TestBreakSeriesGarch bounds how
+    # far that lowers these ratios against simplex refits.
     cfg_half = EstimatorConfig(gamma=0.5, m0=10, lam=2.74, t0=20)
     cfg_sq = EstimatorConfig(gamma=2.0, m0=10, lam=2.18, t0=20)
     wins, below_one = 0, 0

@@ -243,7 +243,7 @@ class TestCompareForecasters:
 
 
 # Gate 09's series refitted by the Nelder-Mead simplex from the previous
-# optimum at every window (before warm refits used BFGS), seeds 0-19: the
+# optimum at every window (before warm local refits), seeds 0-19: the
 # half-power adaptive/GARCH ratio and the mean log likelihood of the 250 fits.
 SIMPLEX_REFIT_RATIOS = (
     0.91956, 1.00945, 0.94850, 0.96610, 0.97791, 0.98514, 0.94879, 0.98989,
@@ -260,7 +260,7 @@ SIMPLEX_REFIT_MEAN_LOGLIK = (
 
 class TestBreakSeriesGarch:
     def test_warm_refits_stay_near_the_simplex_on_gate_09_series(self, monkeypatch):
-        # A warm BFGS refit that starts with persistence on its cap stays
+        # A warm Newton refit that starts with persistence on its cap stays
         # there, where the simplex sometimes stepped to a higher interior
         # maximum; the GARCH forecasts then score worse and gate 09's ratio
         # falls. Measured worst: mean log likelihood 0.357 below the simplex
