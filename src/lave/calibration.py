@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationBracketError
-from .estimator import _prefix_sums, _split_terms
+from .estimator import _prefix_sums, _split_terms, _test_terms
 from .series import PowerParams, TransformedSeries
-from .transform import power_constants
+from .transform import moment_constants
 
 __all__ = [
     "CalibrationSpec",
@@ -114,7 +114,7 @@ def _max_test_ratios(spec: CalibrationSpec) -> np.ndarray:
     mean(T > lam) is then the probability that the homogeneity test of the
     longest candidate falsely rejects.
     """
-    params = power_constants(spec.gamma)
+    params = moment_constants(spec.gamma)
     rng = np.random.default_rng(spec.seed)
     xi = rng.standard_normal((spec.replications, spec.M))
     y = np.abs(xi) ** spec.gamma / params.c_gamma
@@ -123,13 +123,15 @@ def _max_test_ratios(spec: CalibrationSpec) -> np.ndarray:
     k = M // m0
     lengths = m0 * np.arange(1, k + 1)
     sums, _ = _prefix_sums(y)
-    suffix = sums[:, M, None] - sums[:, M - lengths]
-    statistic, root = _split_terms(suffix, k, m0)
+    # candidate-major: suffix[i] sums the last (i+1)*m0 values of each draw
+    suffix = (sums[:, M, None] - sums[:, M - lengths]).T
+    theta_test, test_term = _test_terms(suffix[:-1], lengths[:-1, None])
+    statistic, root = _split_terms(suffix[-1], suffix[:-1], theta_test, test_term, m0)
     unit = params.s_gamma * root
     # zero unit threshold needs a zero window, which has probability 0
     # under the Gaussian draws; guard anyway to keep the max finite
     ratio = np.where(unit > 0.0, statistic / np.where(unit > 0.0, unit, 1.0), 0.0)
-    return ratio.max(axis=1)
+    return ratio.max(axis=0)
 
 
 def rejection_frequency(lam: float, spec: CalibrationSpec) -> float:

@@ -12,14 +12,18 @@ theta_hat (its mean) and sigma_hat = (theta_hat / c_gamma)^(1/gamma).
 keeps a full trace of every comparison. One module-private kernel,
 `_scan_taus`, reproduces its decisions from cumulative sums and cumulative
 counts of nonzero values. It scans a block of taus at once: every
-(series, tau) pair is a row, candidate k = 2, 3, ... is tested on the rows
-still alive, a row drops out at its first rejection or after its own last
-candidate, and the loop ends when no row is left. `_scan_path` walks the
-taus in blocks of bounded size, so memory does not grow with n, and serves
-`estimate_path` (one row) and `batch_estimate` (one row per Monte Carlo
-replication); `_scan_at_tau` is the kernel at one tau, and calibration
-shares its split arithmetic. The test suite pins the kernel to the
-reference.
+(series, tau) pair is a row, and candidates k = 1, 2, ... are taken one at
+a time on a candidate-major working set (candidates x rows). At candidate
+k it gathers only the window sum ending at the new edge tau - k*m0 and
+that edge's nonzero count, computes the test-side terms of column k once
+for every later candidate, and tests the splits of k on the rows still
+live. A row stops at its first rejection or after its own last candidate;
+stopped rows are masked until fewer than half are live, then dropped.
+`_scan_path` walks the taus in blocks of bounded size, so memory does not
+grow with n, and serves `estimate_path` (one row) and `batch_estimate`
+(one row per Monte Carlo replication); `_scan_at_tau` is the kernel at one
+tau, and calibration shares its split arithmetic. The test suite pins the
+kernel to the reference.
 
 Exact ties at the threshold are not reproduced. The kernel takes window
 means from differences of prefix sums and decides
@@ -37,7 +41,7 @@ import numpy as np
 
 from .errors import DegenerateWindowError
 from .series import PowerParams, ReturnSeries, TransformedSeries, VolEstimate, theta_to_sigma
-from .transform import power_constants, power_transform
+from .transform import moment_constants, power_transform
 
 __all__ = [
     "IntervalGrid",
@@ -313,27 +317,36 @@ def _prefix_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sums, counts
 
 
-def _split_terms(suffix: np.ndarray, k: int, m0: int):
-    """Split arithmetic of candidate k on every row, one column per test
-    length j = m0, ..., (k-1)*m0; suffix[:, i] sums the last (i+1)*m0 values.
+def _test_terms(suffix: np.ndarray, test_lens):
+    """Test-side terms of the splits whose test windows sum to suffix:
+    theta_test = suffix / test_len and theta_test^2 / test_len. Neither
+    depends on the candidate, so the scan computes them once per column."""
+    theta_test = suffix / test_lens
+    return theta_test, theta_test**2 / test_lens
+
+
+def _split_terms(suffix_k, suffix, theta_test, test_term, m0: int):
+    """Split arithmetic of candidate k, candidate-major: row i of suffix
+    sums the last (i+1)*m0 values (test length j = (i+1)*m0, i < k-1),
+    suffix_k sums the candidate's k*m0, and theta_test, test_term come from
+    _test_terms on suffix.
 
     Returns statistic = |theta_rest - theta_test| of the two window means
     and root = sqrt(theta_test^2 / j + theta_rest^2 / (k*m0 - j)); a split
     rejects at lam when statistic > lam * s_gamma * root.
     """
-    test_lens = m0 * np.arange(1, k)
-    rest_lens = k * m0 - test_lens
-    theta_test = suffix[:, : k - 1] / test_lens
-    theta_rest = (suffix[:, k - 1 : k] - suffix[:, : k - 1]) / rest_lens
+    rest_lens = m0 * np.arange(suffix.shape[0], 0, -1, dtype=float)[:, None]
+    theta_rest = (suffix_k - suffix) / rest_lens
     statistic = np.abs(theta_rest - theta_test)
-    root = np.sqrt(theta_test**2 / test_lens + theta_rest**2 / rest_lens)
+    root = np.sqrt(test_term + theta_rest**2 / rest_lens)
     return statistic, root
 
 
-# Elements of one block's suffix matrix: rows x taus per block x max
-# candidates. Larger blocks trade memory for speed on wide batches: 2**18
-# ran `lave simulate` with 2000 replications about 10% faster but raised
-# its peak RSS from 140 to 148 MB.
+# Budget of one block of taus: its rows times their largest candidate
+# count. The scan's working set holds three float arrays of that size (the
+# window sums and the two test-side terms of each column), and one
+# candidate's split temporaries are no larger, so a block takes a small
+# multiple of 2**16 floats however long the series or wide the batch.
 _BLOCK_ELEMENTS = 2**16
 
 
@@ -353,56 +366,92 @@ def _scan_taus(
     theta_hat, rejected candidate length (0 when none) and a flag for rows
     where select_interval would raise.
 
-    The scan tests candidate k = 2, 3, ... on the rows still alive and drops
-    a row at its first rejection or after its last candidate, so it stops
-    as soon as every row has.
+    Candidates k = 1, 2, ... are taken one at a time on a candidate-major
+    working set (candidates x rows). At candidate k each held row gathers
+    only its window sum sums[tau] - sums[tau - k*m0] and the nonzero count
+    at that new edge; the column's test-side terms are computed once and
+    serve every later candidate. A row stops at its first rejection or
+    after its own last candidate, and records theta_hat and its chosen
+    length as it accepts each candidate. Stopped rows stay in the working
+    set, masked, until fewer than half of its rows are live; then it is
+    compacted to the live rows.
 
-    The degenerate flag is decided once: a row is degenerate exactly when
-    one of the m0-blocks 1..k counted back from tau is all zeros, k being
-    the rejected candidate or else the last. Every examined window holds
-    block 1 or the oldest block of its candidate, and each such block is
-    itself examined (the test window at j = m0, the rest window at
-    j = (k-1)*m0).
+    The degenerate flag is decided as the edges are gathered: a row is
+    degenerate exactly when one of the m0-blocks 1..k counted back from
+    tau is all zeros, k being the rejected candidate or else the last.
+    Every examined window holds block 1 or the oldest block of its
+    candidate, and each such block is itself examined (the test window at
+    j = m0, the rest window at j = (k-1)*m0).
     """
     sums, counts = prefix
-    n_series = sums.shape[0]
+    n_series, width = sums.shape
+    flat_sums, flat_counts = sums.ravel(), counts.ravel()
     tops = taus if max_len is None else np.minimum(taus, int(max_len))
-    n_cand = np.tile(tops // m0, n_series)
-    k_max = int(n_cand.max())
+    all_cand = np.tile(tops // m0, n_series)
+    n_rows, k_max = all_cand.size, int(all_cand.max())
+    # per-row results, copied out of the working set when it is compacted
+    # and at the end
+    out_chosen = np.empty(n_rows, dtype=np.int64)
+    out_theta = np.empty(n_rows)
+    out_degenerate = np.empty(n_rows, dtype=bool)
 
-    # window starts tau, tau - m0, ..., tau - k_max*m0, clipped where a row
-    # has fewer candidates; those columns are never read
-    starts = np.tile(taus, n_series)[:, None] - m0 * np.arange(k_max + 1)
-    np.maximum(starts, 0, out=starts)
-    series = np.repeat(np.arange(n_series), taus.size)[:, None]
-    edge_sums = sums[series, starts]
-    # suffix[:, k-1] = sum of the last k*m0 values before tau
-    suffix = edge_sums[:, :1] - edge_sums[:, 1:]
+    # the working set: one entry per row it holds, live or masked
+    rows = np.arange(n_rows)
+    n_cand = all_cand
+    at = (width * np.arange(n_series)[:, None] + taus).ravel()  # flat (series, tau)
+    top_sum = flat_sums[at]
+    edge_count = flat_counts[at]
+    chosen = np.empty(n_rows, dtype=np.int64)
+    theta = np.empty(n_rows)
+    degenerate = np.zeros(n_rows, dtype=bool)
+    live = np.ones(n_rows, dtype=bool)
+    suffix, theta_test, test_term = (np.empty((k_max, n_rows)) for _ in range(3))
+    fewest = int(n_cand.min())  # every held row has candidates up to here
 
-    first_reject = np.zeros(n_cand.size, dtype=np.int64)  # candidate index k, 0 = none
-    alive = np.flatnonzero(n_cand >= 2)
-    for k in range(2, k_max + 1):
-        alive = alive[n_cand[alive] >= k]
-        if alive.size == 0:
+    for k in range(1, k_max + 1):
+        if k > fewest:
+            live &= n_cand >= k
+        n_live = np.count_nonzero(live)
+        if n_live == 0:
             break
-        statistic, root = _split_terms(suffix[alive, :k], k, m0)
-        reject_any = (statistic > (lam * s_gamma) * root).any(axis=1)
-        first_reject[alive[reject_any]] = k
-        alive = alive[~reject_any]
+        if 2 * n_live < rows.size:
+            out_chosen[rows], out_theta[rows], out_degenerate[rows] = chosen, theta, degenerate
+            keep = np.flatnonzero(live)
+            rows, n_cand, at, top_sum, edge_count, chosen, theta, degenerate = (
+                a[keep] for a in (rows, n_cand, at, top_sum, edge_count, chosen, theta, degenerate)
+            )
+            held = (suffix, theta_test, test_term)
+            suffix, theta_test, test_term = (np.empty((k_max, keep.size)) for _ in held)
+            for old, new in zip(held, (suffix, theta_test, test_term)):
+                new[: k - 1] = old[: k - 1, keep]
+            live = np.ones(keep.size, dtype=bool)
+            fewest = int(n_cand.min())
 
-    k_examined = np.where(first_reject > 0, first_reject, n_cand)
-    edges = counts[series, starts]
-    zero_block = edges[:, :-1] == edges[:, 1:]  # column k-1 is block k
-    degenerate = (zero_block & (np.arange(1, k_max + 1) <= k_examined[:, None])).any(axis=1)
+        # masked rows gather too; past its last candidate a row reads a
+        # clipped edge whose values are never used
+        edge = at - k * m0
+        np.subtract(top_sum, np.take(flat_sums, edge, mode="clip"), out=suffix[k - 1])
+        new_count = np.take(flat_counts, edge, mode="clip")
+        degenerate |= (new_count == edge_count) & live  # block k is all zeros
+        edge_count = new_count
+        theta_test[k - 1], test_term[k - 1] = _test_terms(suffix[k - 1], k * m0)
+        if k > 1:
+            statistic, root = _split_terms(
+                suffix[k - 1], suffix[: k - 1], theta_test[: k - 1], test_term[: k - 1], m0
+            )
+            live ^= (statistic > (lam * s_gamma) * root).any(axis=0) & live
+        np.copyto(chosen, k, where=live)
+        np.copyto(theta, theta_test[k - 1], where=live)
 
-    chosen_k = np.where(first_reject > 0, first_reject - 1, n_cand)
-    theta_hat = suffix[np.arange(n_cand.size), chosen_k - 1] / (chosen_k * m0)
+    out_chosen[rows], out_theta[rows], out_degenerate[rows] = chosen, theta, degenerate
+    # a row stopped before its last candidate was rejected at the next one
+    out_rejected = np.where(out_chosen < all_cand, out_chosen + 1, 0)
     shape = (n_series, taus.size)
     return (
-        (chosen_k * m0).reshape(shape),
-        theta_hat.reshape(shape),
-        (first_reject * m0).reshape(shape),
-        degenerate.reshape(shape),
+        (out_chosen * m0).reshape(shape),
+        out_theta.reshape(shape),
+        (out_rejected * m0).reshape(shape),
+        out_degenerate.reshape(shape),
     )
 
 
@@ -428,13 +477,14 @@ def _scan_path(values: np.ndarray, config: EstimatorConfig):
     and (R, taus.size) arrays theta, lens and rejected (first rejected
     candidate length, 0 when none); a degenerate window leaves a gap, NaN
     in theta and 0 in lens and rejected. The taus are scanned in blocks of
-    at most _BLOCK_ELEMENTS suffix entries, so memory stays bounded in n.
+    at most _BLOCK_ELEMENTS working-set entries (rows x candidates), so
+    memory stays bounded in n.
     """
     n_series, n = values.shape
     t0 = config.start_time
     if t0 > n:
         raise ValueError(f"t0={t0} exceeds series length {n}")
-    s_gamma = power_constants(config.gamma).s_gamma
+    s_gamma = moment_constants(config.gamma).s_gamma
     prefix = _prefix_sums(values)
 
     taus = np.arange(t0, n + 1, dtype=np.int64)
@@ -448,9 +498,9 @@ def _scan_path(values: np.ndarray, config: EstimatorConfig):
         chosen_len, theta_hat, rejected_len, degenerate = _scan_taus(
             prefix, taus[block], config.m0, config.lam, s_gamma, config.max_len
         )
-        theta[:, block] = np.where(degenerate, np.nan, theta_hat)
-        lens[:, block] = np.where(degenerate, 0, chosen_len)
-        rejected[:, block] = np.where(degenerate, 0, rejected_len)
+        if degenerate.any():
+            theta_hat[degenerate], chosen_len[degenerate], rejected_len[degenerate] = np.nan, 0, 0
+        theta[:, block], lens[:, block], rejected[:, block] = theta_hat, chosen_len, rejected_len
     return taus, theta, lens, rejected
 
 
@@ -460,7 +510,7 @@ def estimate_path(r: ReturnSeries, config: EstimatorConfig) -> EstimatePath:
     Estimates at tau use only the first tau observations. Degenerate windows
     become gaps (NaN estimate, interval length 0) rather than errors.
     """
-    params = power_constants(config.gamma)
+    params = moment_constants(config.gamma)
     y = power_transform(r, config.gamma)
     taus, theta, lens, rejected = _scan_path(y.values[None, :], config)
     theta = theta[0]
@@ -482,7 +532,7 @@ def batch_estimate(returns: np.ndarray, config: EstimatorConfig):
     windows appear as NaN / 0, matching estimate_path's gap convention.
     """
     returns = np.atleast_2d(np.asarray(returns, dtype=float))
-    params = power_constants(config.gamma)
+    params = moment_constants(config.gamma)
     taus, theta, lens, _ = _scan_path(np.abs(returns) ** config.gamma, config)
     return taus, theta_to_sigma(theta, params), lens
 
@@ -496,7 +546,7 @@ def forecast_next(r: ReturnSeries, t: int, config: EstimatorConfig) -> float:
         raise ValueError(f"t={t} is before the first estimation time {config.start_time}")
     if t > len(r):
         raise ValueError(f"t={t} exceeds series length {len(r)}")
-    params = power_constants(config.gamma)
+    params = moment_constants(config.gamma)
     y = power_transform(r, config.gamma)
     sel = select_interval(y, t, config.m0, config.lam, params, config.max_len)
     return theta_to_sigma(sel.theta_hat, params)

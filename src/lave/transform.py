@@ -23,7 +23,7 @@ at most -1, which makes a peak-shifted quadrature well conditioned at any u.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import optimize, special
@@ -33,6 +33,7 @@ from .series import PowerParams, ReturnSeries, TransformedSeries
 __all__ = [
     "LaplaceCurve",
     "gaussian_abs_moment",
+    "moment_constants",
     "power_constants",
     "power_transform",
     "noise_sample",
@@ -82,18 +83,31 @@ def gaussian_abs_moment(gamma: float) -> float:
 
 
 @functools.lru_cache(maxsize=64)
-def _power_constants_cached(gamma: float) -> PowerParams:
+def _moment_constants_cached(gamma: float) -> PowerParams:
     c = gaussian_abs_moment(gamma)
     second = gaussian_abs_moment(2.0 * gamma)
     d_sq = second - c * c
     if d_sq <= 0.0:
         raise ValueError(f"variance of |xi|^gamma is not positive at gamma={gamma}")
     d = float(np.sqrt(d_sq))
-    base = PowerParams(gamma=gamma, c_gamma=c, d_gamma=d, s_gamma=d / c)
+    return PowerParams(gamma=gamma, c_gamma=c, d_gamma=d, s_gamma=d / c)
+
+
+@functools.lru_cache(maxsize=64)
+def _power_constants_cached(gamma: float) -> PowerParams:
+    base = _moment_constants_cached(gamma)
     if gamma <= 1.0:
-        a = compute_a_gamma(base)
-        return PowerParams(gamma=gamma, c_gamma=c, d_gamma=d, s_gamma=d / c, a_gamma=a)
+        return replace(base, a_gamma=compute_a_gamma(base))
     return base
+
+
+def moment_constants(gamma: float) -> PowerParams:
+    """c_gamma, d_gamma and s_gamma for exponent gamma, cached per gamma,
+    with a_gamma left out (None). The scan and its calibration need no
+    more, and skip the numerical search that a_gamma takes."""
+    if not (gamma > 0.0):
+        raise ValueError(f"gamma must be positive, got {gamma}")
+    return _moment_constants_cached(float(gamma))
 
 
 def power_constants(gamma: float) -> PowerParams:
@@ -128,9 +142,13 @@ def noise_sample(params: PowerParams, count: int, seed: int) -> np.ndarray:
     return (np.abs(xi) ** params.gamma - params.c_gamma) / params.d_gamma
 
 
-# Gauss-Legendre rule reused by every _log_mgf_abs_power call; 400 nodes
-# over the width-80 peak window resolve the integrand to ~1e-12 relative.
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(400)
+@functools.lru_cache(maxsize=1)
+def _gauss_legendre() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the rule every _log_mgf_abs_power call uses; 400
+    nodes over the width-80 peak window resolve the integrand to ~1e-12
+    relative. Built on first use, since only a_gamma and the Laplace curve
+    need it and leggauss solves an eigenproblem (slow with many BLAS threads)."""
+    return np.polynomial.legendre.leggauss(400)
 
 
 def _log_mgf_abs_power(u: float, gamma: float, d: float) -> float:
@@ -151,8 +169,9 @@ def _log_mgf_abs_power(u: float, gamma: float, d: float) -> float:
     lo = max(0.0, x_star - 40.0)
     hi = x_star + 40.0
     half = 0.5 * (hi - lo)
-    x = half * _GL_NODES + 0.5 * (hi + lo)
-    val = half * float(np.dot(_GL_WEIGHTS, np.exp(f(x) - f_peak)))
+    nodes, weights = _gauss_legendre()
+    x = half * nodes + 0.5 * (hi + lo)
+    val = half * float(np.dot(weights, np.exp(f(x) - f_peak)))
     return f_peak + float(np.log(val)) + 0.5 * float(np.log(2.0 / np.pi))
 
 

@@ -1,10 +1,15 @@
 """The block-of-taus scan kernel across its block boundaries and in memory.
 
-_scan_path splits the taus into blocks of at most _BLOCK_ELEMENTS suffix
-entries (rows x taus per block x candidates), at least one tau each. These
-inputs are large enough to force many blocks: long series without max_len,
-a wide batch where every block holds a single tau, and a long series whose
-traced peak memory must stay bounded.
+_scan_path splits the taus into blocks of at most _BLOCK_ELEMENTS
+working-set entries (rows x taus per block x candidates), at least one tau
+each. These inputs are large enough to force many blocks: long series
+without max_len, a wide batch where every block holds a single tau, and a
+long series and a wide batch whose traced peak memory must stay bounded.
+
+Within a block the kernel masks stopped rows and compacts its working set
+once fewer than half of them are live. Rows that drop out at staggered
+candidates, a zero block first reached after a compaction, and blocks
+whose rows have different candidate counts pin that path to the reference.
 """
 
 import tracemalloc
@@ -16,11 +21,13 @@ from lave.errors import DegenerateWindowError
 from lave.estimator import (
     _BLOCK_ELEMENTS,
     EstimatorConfig,
+    _prefix_sums,
+    _scan_at_tau,
     batch_estimate,
     estimate_path,
     select_interval,
 )
-from lave.series import ReturnSeries
+from lave.series import ReturnSeries, TransformedSeries
 from lave.transform import power_constants, power_transform
 
 
@@ -96,3 +103,112 @@ def test_long_series_without_max_len_runs_in_bounded_memory():
     jumps = np.arange(run, n, run)[::3][:10]
     indices = jumps + 15 - config.start_time
     assert_path_matches_reference(path, r, indices)
+
+
+def assert_batch_matches_estimate_path(returns, config):
+    """Every row of batch_estimate equals estimate_path on that row alone;
+    returns the batch's lens and the paths."""
+    taus, sigma_hat, lens = batch_estimate(returns, config)
+    paths = [estimate_path(ReturnSeries(row), config) for row in returns]
+    for i, path in enumerate(paths):
+        np.testing.assert_array_equal(path.taus, taus)
+        np.testing.assert_array_equal(path.interval_len, lens[i])
+        np.testing.assert_array_equal(path.sigma_hat, sigma_hat[i])
+    return lens, paths
+
+
+def compactions(stops):
+    """Candidates at which the working set of rows that stay live through
+    candidate stops[i] is compacted: fewer than half of its rows are live."""
+    held, at = stops.size, []
+    for k in range(2, int(stops.max()) + 1):
+        live = int(np.count_nonzero(stops >= k))
+        if 0 < live and 2 * live < held:
+            held = live
+            at.append(k)
+    return at
+
+
+@pytest.mark.parametrize("m0, n", [(1, 60), (3, 90)])
+def test_staggered_drop_outs_compact_the_working_set_and_match_the_reference(m0, n):
+    rows = 120
+    rng = np.random.default_rng(5 + m0)
+    # |returns| stay within 10% of sigma, which jumps from 1 to 6 at evenly
+    # staggered times: at tau = n each row keeps its window until it
+    # reaches back across its own jump
+    jumps = np.linspace(n - 3 * m0, 4 * m0, rows).astype(int)
+    sigma = np.where(np.arange(n) >= jumps[:, None], 6.0, 1.0)
+    returns = sigma * rng.uniform(0.9, 1.1, (rows, n)) * rng.choice([-1.0, 1.0], (rows, n))
+    # an all-zero m0-block `depth` blocks back from tau = n, inside the
+    # high-volatility part of the rows that scan longest
+    depth = (3 * n // 4) // m0
+    zero_rows = np.arange(rows - 20, rows)
+    returns[zero_rows, n - depth * m0 : n - (depth - 1) * m0] = 0.0
+    config = EstimatorConfig(gamma=0.5, m0=m0, lam=2.4)
+    params = power_constants(config.gamma)
+    y = np.abs(returns) ** config.gamma
+
+    chosen, theta, rejected, degenerate = _scan_at_tau(
+        _prefix_sums(y), n, m0, config.lam, params.s_gamma
+    )
+    stops = np.where(rejected > 0, rejected, chosen) // m0
+    compacted_at = compactions(stops)
+    assert len(compacted_at) >= 2
+    assert compacted_at[0] < depth and np.all(stops[zero_rows] >= depth)
+    assert degenerate[zero_rows].all() and not degenerate[: rows - 20].any()
+
+    lens, _ = assert_batch_matches_estimate_path(returns, config)
+    for i in range(rows):
+        series = TransformedSeries(y[i], gamma=config.gamma)
+        try:
+            sel = select_interval(series, n, m0, config.lam, params)
+        except DegenerateWindowError:
+            assert degenerate[i] and lens[i, -1] == 0, i
+            continue
+        assert not degenerate[i] and lens[i, -1] == chosen[i] == sel.chosen_len, i
+        assert rejected[i] == (sel.rejected_at or 0), i
+        assert abs(theta[i] - sel.theta_hat) <= 1e-9 * sel.theta_hat, i
+
+
+def test_estimate_path_block_with_mixed_candidate_counts_under_max_len():
+    n, m0, max_len = 2000, 1, 150
+    r = alternating_returns(n, run=40, high=5.0, seed=21)
+    r[100:103] = 0.0
+    r[300:302] = 0.0
+    config = EstimatorConfig(gamma=0.5, m0=m0, lam=2.4, max_len=max_len)
+    per_block = _BLOCK_ELEMENTS // (max_len // m0)
+    # the first block runs from tau = 2 (2 candidates) past tau = max_len
+    assert config.start_time < max_len < config.start_time + per_block
+    r = ReturnSeries(r)
+    path = estimate_path(r, config)
+    assert_path_matches_reference(path, r, np.arange(0, per_block + 40, 3))
+
+
+def test_batch_blocks_with_mixed_candidate_counts_at_m0_one():
+    rows, n = 200, 100
+    config = EstimatorConfig(gamma=0.5, m0=1, lam=2.4)
+    per_block = _BLOCK_ELEMENTS // (rows * n)
+    assert per_block >= 3  # each block holds taus with different candidate counts
+    rng = np.random.default_rng(17)
+    jumps = rng.integers(10, n, size=rows)
+    returns = np.where(np.arange(n) >= jumps[:, None], 4.0, 1.0) * rng.standard_normal((rows, n))
+    returns[::9, 60:62] = 0.0
+    _, paths = assert_batch_matches_estimate_path(returns, config)
+    last_full_block = per_block * (len(paths[0]) // per_block - 1) + np.arange(per_block)
+    for row, path in zip(returns, paths):
+        assert_path_matches_reference(path, ReturnSeries(row), last_full_block)
+
+
+def test_wide_batch_runs_in_bounded_memory():
+    rows = 2000
+    sigma = np.repeat([1.0, 3.0, 1.0], 80)  # the two-jump-3x design
+    returns = sigma * np.random.default_rng(4).standard_normal((rows, sigma.size))
+    config = EstimatorConfig(gamma=0.5, m0=10, lam=2.74, t0=20)
+    tracemalloc.start()
+    try:
+        taus, sigma_hat, lens = batch_estimate(returns, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert sigma_hat.shape == (rows, taus.size) and np.all(lens > 0)

@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 from scipy import special
 
+from lave import transform
+from lave.calibration import CalibrationSpec, calibrate_lambda
+from lave.estimator import EstimatorConfig, batch_estimate, estimate_path
 from lave.series import ReturnSeries
 from lave.transform import (
     LaplaceCurve,
@@ -76,6 +79,23 @@ class TestPowerConstants:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             power_constants(-1.0)
+
+    def test_scan_and_calibration_never_compute_the_tail_constant(self, monkeypatch):
+        def no_tail_constant(params):
+            raise AssertionError("a_gamma was computed")
+
+        transform._moment_constants_cached.cache_clear()
+        transform._power_constants_cached.cache_clear()
+        monkeypatch.setattr(transform, "compute_a_gamma", no_tail_constant)
+        config = EstimatorConfig(gamma=0.5, m0=10, lam=2.4)
+        returns = np.random.default_rng(0).standard_normal((3, 200))
+        assert len(estimate_path(ReturnSeries(returns[0]), config)) == 181
+        assert batch_estimate(returns, config)[1].shape == (3, 181)
+        calibrate_lambda(CalibrationSpec(gamma=0.5, M=40, replications=200, seed=1))
+        with pytest.raises(AssertionError, match="a_gamma was computed"):
+            power_constants(0.5)
+        monkeypatch.undo()
+        assert power_constants(0.5).a_gamma == pytest.approx(1.004584942408, abs=1e-9)
 
 
 class TestPowerTransform:
