@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CalibrationBracketError
-from .estimator import _prefix_sums, _split_terms, _test_terms
+from .estimator import _block_sums, _split_terms, _test_terms
 from .series import PowerParams, TransformedSeries
 from .transform import moment_constants
 
@@ -72,6 +72,7 @@ class CalibrationSpec:
             raise ValueError("gamma must be positive")
         if not (self.m0 >= 1 and int(self.m0) == self.m0):
             raise ValueError("m0 must be a positive integer")
+        object.__setattr__(self, "m0", int(self.m0))
         if self.M < 2 * self.m0:
             raise ValueError("M must be at least 2*m0 so the scan has something to test")
         if not (0.0 < self.target_alpha < 1.0):
@@ -120,14 +121,13 @@ def _max_test_ratios(spec: CalibrationSpec) -> np.ndarray:
     y = np.abs(xi) ** spec.gamma / params.c_gamma
 
     m0, M = spec.m0, spec.M
-    k = M // m0
-    lengths = m0 * np.arange(1, k + 1)
-    sums, _ = _prefix_sums(y)
-    # candidate-major: suffix[i] sums the last (i+1)*m0 values of each draw
-    suffix = (sums[:, M, None] - sums[:, M - lengths]).T
-    theta_test, test_term = _test_terms(suffix[:-1], lengths[:-1, None])
-    statistic, root = _split_terms(suffix[-1], suffix[:-1], theta_test, test_term, m0)
-    unit = params.s_gamma * root
+    lengths = m0 * np.arange(1, M // m0 + 1)
+    # candidate-major: blocks[i] is block i+1 counted back from M, and split
+    # j = i+1 tests blocks 1..j against the rest, blocks j+1..M // m0
+    blocks = _block_sums(y, m0)[:, M - lengths].T
+    tests = _test_terms(np.cumsum(blocks[:-1], axis=0), lengths[:-1, None], params.s_gamma)
+    rest = np.cumsum(blocks[:0:-1], axis=0)[::-1]
+    statistic, unit = _split_terms(rest, *tests, m0, params.s_gamma)
     # zero unit threshold needs a zero window, which has probability 0
     # under the Gaussian draws; guard anyway to keep the max finite
     ratio = np.where(unit > 0.0, statistic / np.where(unit > 0.0, unit, 1.0), 0.0)

@@ -10,27 +10,17 @@ theta_hat (its mean) and sigma_hat = (theta_hat / c_gamma)^(1/gamma).
 
 `select_interval` is the readable single-time reference implementation and
 keeps a full trace of every comparison. One module-private kernel,
-`_scan_taus`, reproduces its decisions from cumulative sums and cumulative
-counts of nonzero values. It scans a block of taus at once: every
-(series, tau) pair is a row, and candidates k = 1, 2, ... are taken one at
-a time on a candidate-major working set (candidates x rows). At candidate
-k it gathers only the window sum ending at the new edge tau - k*m0 and
-that edge's nonzero count, computes the test-side terms of column k once
-for every later candidate, and tests the splits of k on the rows still
-live. A row stops at its first rejection or after its own last candidate;
-stopped rows are masked until fewer than half are live, then dropped.
-`_scan_path` walks the taus in blocks of bounded size, so memory does not
-grow with n, and serves `estimate_path` (one row) and `batch_estimate`
-(one row per Monte Carlo replication); `_scan_at_tau` is the kernel at one
-tau, and calibration shares its split arithmetic. The test suite pins the
-kernel to the reference.
-
-Exact ties at the threshold are not reproduced. The kernel takes window
-means from differences of prefix sums and decides
-statistic > (lam * s_gamma) * root, while `homogeneity_test` compares
-against lam * sqrt(v_test^2 + v_rest^2); where the reference finds
-statistic == threshold (no rejection), the kernel's rounding can differ by
-an ulp either way, so it may reject.
+`_scan_taus`, reproduces its decisions for many (series, tau) rows at once.
+It sums each window from m0-block sums taken on their own, which never
+cancel, since the transformed values are nonnegative, and decides every
+split as `homogeneity_test` does. `_scan_path` walks the taus in blocks of
+bounded size, so memory does not grow with n, and serves `estimate_path`
+(one row) and `batch_estimate` (one row per Monte Carlo replication);
+`_scan_at_tau` is the kernel at one tau, and calibration shares its split
+arithmetic. The test suite pins the kernel to the reference. An exact tie
+at the threshold keeps the window in both wherever the two window means
+agree bit for bit, as for single values; numpy's mean sums pairwise, so in
+longer windows the means, and with them a tie, can differ in the last bit.
 """
 
 from __future__ import annotations
@@ -161,6 +151,7 @@ class EstimatorConfig:
             raise ValueError("gamma must be positive")
         if not (self.m0 >= 1 and int(self.m0) == self.m0):
             raise ValueError("m0 must be a positive integer")
+        object.__setattr__(self, "m0", int(self.m0))
         if not (self.lam > 0.0):
             raise ValueError("lam must be positive")
         if self.t0 is not None and self.t0 < self.m0:
@@ -305,53 +296,61 @@ def select_interval(
     )
 
 
-def _prefix_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise prefix sums and int32 prefix counts of nonzero values, each
-    with a leading zero. Differences of counts tell exactly whether a window
-    is all zeros; differences of sums may round a small window to zero."""
+def _block_sums(values: np.ndarray, m0: int) -> np.ndarray:
+    """Row-wise sums of every m0 consecutive values, entry s summing values
+    s .. s+m0-1, each taken on its own. The transformed values are
+    nonnegative, so a block sum is zero exactly when its values are, and
+    sums of blocks never cancel: whatever came before a window, its sum is
+    accurate to its length times eps, relative."""
     rows = np.atleast_2d(np.asarray(values, dtype=float))
-    sums = np.zeros((rows.shape[0], rows.shape[1] + 1))
-    np.cumsum(rows, axis=1, out=sums[:, 1:])
-    counts = np.zeros(sums.shape, dtype=np.int32)
-    np.cumsum(rows != 0.0, axis=1, dtype=np.int32, out=counts[:, 1:])
-    return sums, counts
+    # the m0 shifted copies of each row, added up: entry (i, s) of a row's
+    # view is values[s + i]
+    width = rows.shape[1] - m0 + 1
+    return np.lib.stride_tricks.sliding_window_view(rows, width, axis=1).sum(axis=1)
 
 
-def _test_terms(suffix: np.ndarray, test_lens):
-    """Test-side terms of the splits whose test windows sum to suffix:
-    theta_test = suffix / test_len and theta_test^2 / test_len. Neither
-    depends on the candidate, so the scan computes them once per column."""
-    theta_test = suffix / test_lens
-    return theta_test, theta_test**2 / test_lens
+def _test_terms(test_sums: np.ndarray, test_lens, s_gamma: float):
+    """Test-side terms of the splits whose test windows sum to test_sums:
+    theta_test = test_sums / test_len and v_test^2, formed as
+    homogeneity_test forms them. Neither depends on the candidate, so the
+    scan computes them once per column."""
+    theta_test = test_sums / test_lens
+    v_test = s_gamma * theta_test / np.sqrt(test_lens)
+    return theta_test, v_test * v_test
 
 
-def _split_terms(suffix_k, suffix, theta_test, test_term, m0: int):
-    """Split arithmetic of candidate k, candidate-major: row i of suffix
-    sums the last (i+1)*m0 values (test length j = (i+1)*m0, i < k-1),
-    suffix_k sums the candidate's k*m0, and theta_test, test_term come from
-    _test_terms on suffix.
+def _split_terms(rest, theta_test, v_test_sq, m0: int, s_gamma: float):
+    """Split arithmetic of one candidate, candidate-major: row i of rest
+    sums the candidate's values before its test window of length
+    j = (i+1)*m0 (rest lengths run down from rest.shape[0]*m0 to m0), and
+    theta_test, v_test_sq come from _test_terms on the test sums.
 
     Returns statistic = |theta_rest - theta_test| of the two window means
-    and root = sqrt(theta_test^2 / j + theta_rest^2 / (k*m0 - j)); a split
-    rejects at lam when statistic > lam * s_gamma * root.
+    and root = sqrt(v_test^2 + v_rest^2), v = s_gamma * theta / sqrt(len);
+    a split rejects at lam when statistic > lam * root, as in
+    homogeneity_test.
     """
-    rest_lens = m0 * np.arange(suffix.shape[0], 0, -1, dtype=float)[:, None]
-    theta_rest = (suffix_k - suffix) / rest_lens
+    rest_lens = m0 * np.arange(rest.shape[0], 0, -1, dtype=float)[:, None]
+    theta_rest = rest / rest_lens
     statistic = np.abs(theta_rest - theta_test)
-    root = np.sqrt(test_term + theta_rest**2 / rest_lens)
-    return statistic, root
+    # in place, in homogeneity_test's order of operations
+    v_rest = np.multiply(s_gamma, theta_rest, out=theta_rest)
+    v_rest /= np.sqrt(rest_lens)
+    v_rest *= v_rest
+    v_rest += v_test_sq
+    return statistic, np.sqrt(v_rest, out=v_rest)
 
 
 # Budget of one block of taus: its rows times their largest candidate
 # count. The scan's working set holds three float arrays of that size (the
-# window sums and the two test-side terms of each column), and one
-# candidate's split temporaries are no larger, so a block takes a small
+# rest sums of every split and the two test-side terms of each column), and
+# one candidate's split temporaries are no larger, so a block takes a small
 # multiple of 2**16 floats however long the series or wide the batch.
 _BLOCK_ELEMENTS = 2**16
 
 
 def _scan_taus(
-    prefix: tuple[np.ndarray, np.ndarray],
+    blocks: np.ndarray,
     taus: np.ndarray,
     m0: int,
     lam: float,
@@ -360,32 +359,32 @@ def _scan_taus(
 ):
     """Vectorized replica of select_interval's decisions at a block of taus.
 
-    prefix : (sums, counts) from _prefix_sums over R series; taus : int64 array.
-    Every (series, tau) pair is a row with its own candidate count
+    blocks : _block_sums of R series; taus : int64 array. Every
+    (series, tau) pair is a row with its own candidate count
     min(tau, max_len) // m0. Returns (R, taus.size) arrays: chosen length,
     theta_hat, rejected candidate length (0 when none) and a flag for rows
     where select_interval would raise.
 
     Candidates k = 1, 2, ... are taken one at a time on a candidate-major
     working set (candidates x rows). At candidate k each held row gathers
-    only its window sum sums[tau] - sums[tau - k*m0] and the nonzero count
-    at that new edge; the column's test-side terms are computed once and
-    serve every later candidate. A row stops at its first rejection or
-    after its own last candidate, and records theta_hat and its chosen
-    length as it accepts each candidate. Stopped rows stay in the working
-    set, masked, until fewer than half of its rows are live; then it is
-    compacted to the live rows.
+    only block k, the m0 values ending (k-1)*m0 before tau. The test sum
+    grows by it, and so does the rest sum of every split of k (split j's
+    rest is blocks j+1..k); the column's test-side terms are computed once
+    and serve every later candidate. Splits decide as homogeneity_test
+    does. A row stops at its first rejection or after its own last
+    candidate, and records theta_hat and its chosen length as it accepts
+    each candidate. Stopped rows stay in the working set, masked, until
+    fewer than half of its rows are live; then it is compacted to the live
+    rows.
 
-    The degenerate flag is decided as the edges are gathered: a row is
-    degenerate exactly when one of the m0-blocks 1..k counted back from
-    tau is all zeros, k being the rejected candidate or else the last.
-    Every examined window holds block 1 or the oldest block of its
-    candidate, and each such block is itself examined (the test window at
-    j = m0, the rest window at j = (k-1)*m0).
+    The degenerate flag is decided as the blocks are gathered: a row is
+    degenerate exactly when one of the blocks 1..k is zero, k being the
+    rejected candidate or else the last. Every examined window holds block
+    1 or the oldest block of its candidate, and each such block is itself
+    examined (the test window at j = m0, the rest window at j = (k-1)*m0).
     """
-    sums, counts = prefix
-    n_series, width = sums.shape
-    flat_sums, flat_counts = sums.ravel(), counts.ravel()
+    n_series, width = blocks.shape
+    flat_blocks = blocks.ravel()
     tops = taus if max_len is None else np.minimum(taus, int(max_len))
     all_cand = np.tile(tops // m0, n_series)
     n_rows, k_max = all_cand.size, int(all_cand.max())
@@ -399,13 +398,12 @@ def _scan_taus(
     rows = np.arange(n_rows)
     n_cand = all_cand
     at = (width * np.arange(n_series)[:, None] + taus).ravel()  # flat (series, tau)
-    top_sum = flat_sums[at]
-    edge_count = flat_counts[at]
+    test_sum = np.zeros(n_rows)
     chosen = np.empty(n_rows, dtype=np.int64)
     theta = np.empty(n_rows)
     degenerate = np.zeros(n_rows, dtype=bool)
     live = np.ones(n_rows, dtype=bool)
-    suffix, theta_test, test_term = (np.empty((k_max, n_rows)) for _ in range(3))
+    rest, theta_test, v_test_sq = (np.empty((k_max, n_rows)) for _ in range(3))
     fewest = int(n_cand.min())  # every held row has candidates up to here
 
     for k in range(1, k_max + 1):
@@ -417,29 +415,29 @@ def _scan_taus(
         if 2 * n_live < rows.size:
             out_chosen[rows], out_theta[rows], out_degenerate[rows] = chosen, theta, degenerate
             keep = np.flatnonzero(live)
-            rows, n_cand, at, top_sum, edge_count, chosen, theta, degenerate = (
-                a[keep] for a in (rows, n_cand, at, top_sum, edge_count, chosen, theta, degenerate)
+            rows, n_cand, at, test_sum, chosen, theta, degenerate = (
+                a[keep] for a in (rows, n_cand, at, test_sum, chosen, theta, degenerate)
             )
-            held = (suffix, theta_test, test_term)
-            suffix, theta_test, test_term = (np.empty((k_max, keep.size)) for _ in held)
-            for old, new in zip(held, (suffix, theta_test, test_term)):
+            held = (rest, theta_test, v_test_sq)
+            rest, theta_test, v_test_sq = (np.empty((k_max, keep.size)) for _ in held)
+            for old, new in zip(held, (rest, theta_test, v_test_sq)):
                 new[: k - 1] = old[: k - 1, keep]
             live = np.ones(keep.size, dtype=bool)
             fewest = int(n_cand.min())
 
         # masked rows gather too; past its last candidate a row reads a
-        # clipped edge whose values are never used
-        edge = at - k * m0
-        np.subtract(top_sum, np.take(flat_sums, edge, mode="clip"), out=suffix[k - 1])
-        new_count = np.take(flat_counts, edge, mode="clip")
-        degenerate |= (new_count == edge_count) & live  # block k is all zeros
-        edge_count = new_count
-        theta_test[k - 1], test_term[k - 1] = _test_terms(suffix[k - 1], k * m0)
+        # clipped block whose value is never used
+        block = np.take(flat_blocks, at - k * m0, mode="clip")
+        degenerate |= (block == 0.0) & live
+        test_sum += block
+        theta_test[k - 1], v_test_sq[k - 1] = _test_terms(test_sum, k * m0, s_gamma)
         if k > 1:
+            rest[k - 2] = block
+            rest[: k - 2] += block
             statistic, root = _split_terms(
-                suffix[k - 1], suffix[: k - 1], theta_test[: k - 1], test_term[: k - 1], m0
+                rest[: k - 1], theta_test[: k - 1], v_test_sq[: k - 1], m0, s_gamma
             )
-            live ^= (statistic > (lam * s_gamma) * root).any(axis=0) & live
+            live ^= (statistic > lam * root).any(axis=0) & live
         np.copyto(chosen, k, where=live)
         np.copyto(theta, theta_test[k - 1], where=live)
 
@@ -456,17 +454,17 @@ def _scan_taus(
 
 
 def _scan_at_tau(
-    prefix: tuple[np.ndarray, np.ndarray],
+    values: np.ndarray,
     tau: int,
     m0: int,
     lam: float,
     s_gamma: float,
     max_len: int | None = None,
 ):
-    """_scan_taus at the single time tau: arrays over the R series of chosen
-    length, theta_hat, rejected candidate length (0 when none) and the
-    degenerate flag."""
-    block = _scan_taus(prefix, np.array([tau]), m0, lam, s_gamma, max_len)
+    """_scan_taus on the transformed values of R series at the single time
+    tau: arrays over the series of chosen length, theta_hat, rejected
+    candidate length (0 when none) and the degenerate flag."""
+    block = _scan_taus(_block_sums(values, m0), np.array([tau]), m0, lam, s_gamma, max_len)
     return tuple(column[:, 0] for column in block)
 
 
@@ -485,7 +483,7 @@ def _scan_path(values: np.ndarray, config: EstimatorConfig):
     if t0 > n:
         raise ValueError(f"t0={t0} exceeds series length {n}")
     s_gamma = moment_constants(config.gamma).s_gamma
-    prefix = _prefix_sums(values)
+    blocks = _block_sums(values, config.m0)
 
     taus = np.arange(t0, n + 1, dtype=np.int64)
     top = n if config.max_len is None else min(n, int(config.max_len))
@@ -496,7 +494,7 @@ def _scan_path(values: np.ndarray, config: EstimatorConfig):
     for lo in range(0, taus.size, per_block):
         block = slice(lo, lo + per_block)
         chosen_len, theta_hat, rejected_len, degenerate = _scan_taus(
-            prefix, taus[block], config.m0, config.lam, s_gamma, config.max_len
+            blocks, taus[block], config.m0, config.lam, s_gamma, config.max_len
         )
         if degenerate.any():
             theta_hat[degenerate], chosen_len[degenerate], rejected_len[degenerate] = np.nan, 0, 0

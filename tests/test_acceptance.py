@@ -18,7 +18,6 @@ from lave.calibration import CalibrationSpec, calibrate_lambda, rejection_freque
 from lave.cli import DEFAULT_LAMBDA_TABLE
 from lave.estimator import (
     EstimatorConfig,
-    _prefix_sums,
     _scan_at_tau,
     estimate_path,
     select_interval,
@@ -265,9 +264,9 @@ def test_11_invariance_property_suite():
 
     # calibration is scale free: rejection decisions ignore the level
     draws = np.abs(np.random.default_rng(17).standard_normal((300, 40))) ** 0.5
-    base_scan = _scan_at_tau(_prefix_sums(draws), 40, 10, 2.40, params.s_gamma)
+    base_scan = _scan_at_tau(draws, 40, 10, 2.40, params.s_gamma)
     for c in (0.01, 1000.0):
-        scan = _scan_at_tau(_prefix_sums(c * draws), 40, 10, 2.40, params.s_gamma)
+        scan = _scan_at_tau(c * draws, 40, 10, 2.40, params.s_gamma)
         assert np.array_equal(base_scan[0], scan[0])
         assert np.array_equal(base_scan[2], scan[2])
     print("ok   calibration decisions are scale free")

@@ -20,7 +20,7 @@ from lave.calibration import (
     simulate_homogeneous,
 )
 from lave.errors import CalibrationBracketError
-from lave.estimator import _prefix_sums, _scan_at_tau, homogeneity_test
+from lave.estimator import _scan_at_tau, homogeneity_test
 from lave.series import TransformedSeries
 
 
@@ -150,6 +150,12 @@ class TestCalibrateLambda:
         with pytest.raises(ValueError):
             CalibrationSpec(gamma=-0.5, M=40, m0=10)
 
+    def test_integral_float_m0_runs_as_its_integer(self):
+        spec = CalibrationSpec(0.5, 80, m0=10.0, replications=500)
+        assert type(spec.m0) is int
+        same = CalibrationSpec(0.5, 80, m0=10, replications=500)
+        assert calibrate_lambda(spec).lam == calibrate_lambda(same).lam
+
 
 class TestScaleFreeness:
     def test_scan_decisions_ignore_the_level(self, p05):
@@ -158,9 +164,9 @@ class TestScaleFreeness:
         # cannot depend on it
         rng = np.random.default_rng(17)
         y = np.abs(rng.standard_normal((300, 40))) ** 0.5 / p05.c_gamma
-        base = _scan_at_tau(_prefix_sums(y), 40, 10, 2.40, p05.s_gamma)
+        base = _scan_at_tau(y, 40, 10, 2.40, p05.s_gamma)
         for c in (0.01, 7.0, 1000.0):
-            scaled = _scan_at_tau(_prefix_sums(c * y), 40, 10, 2.40, p05.s_gamma)
+            scaled = _scan_at_tau(c * y, 40, 10, 2.40, p05.s_gamma)
             assert np.array_equal(base[0], scaled[0])  # chosen lengths
             assert np.array_equal(base[2], scaled[2])  # rejected candidates
 

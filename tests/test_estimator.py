@@ -21,8 +21,8 @@ from lave.errors import DegenerateWindowError
 from lave.estimator import (
     EstimatorConfig,
     IntervalGrid,
-    _prefix_sums,
     _scan_at_tau,
+    batch_estimate,
     estimate_path,
     estimated_std,
     forecast_next,
@@ -237,7 +237,7 @@ class TestSelectInterval:
 
 
 class TestBatchKernel:
-    """The cumulative-sum scan must reproduce select_interval exactly."""
+    """The block-sum scan must reproduce select_interval exactly."""
 
     def cases(self):
         rng = np.random.default_rng(12)
@@ -248,10 +248,9 @@ class TestBatchKernel:
     def test_matches_reference(self, p05):
         for r in self.cases():
             y = power_transform(ReturnSeries(r), 0.5)
-            prefix = _prefix_sums(y.values)
             for tau in (20, 47, 80, 120):
                 chosen, theta, rejected, degenerate = _scan_at_tau(
-                    prefix, tau, 10, 2.4, p05.s_gamma
+                    y.values, tau, 10, 2.4, p05.s_gamma
                 )
                 sel = select_interval(y, tau, 10, 2.4, p05)
                 assert not degenerate[0]
@@ -262,8 +261,7 @@ class TestBatchKernel:
     def test_many_rows_match_row_by_row(self, p05):
         rng = np.random.default_rng(13)
         rows = rng.standard_normal((8, 90))
-        prefix = _prefix_sums(np.abs(rows) ** 0.5)
-        chosen, theta, rejected, _ = _scan_at_tau(prefix, 90, 10, 2.2, p05.s_gamma)
+        chosen, theta, rejected, _ = _scan_at_tau(np.abs(rows) ** 0.5, 90, 10, 2.2, p05.s_gamma)
         for i in range(rows.shape[0]):
             sel = select_interval(power_transform(ReturnSeries(rows[i]), 0.5), 90, 10, 2.2, p05)
             assert chosen[i] == sel.chosen_len
@@ -335,6 +333,19 @@ class TestEstimatePath:
             EstimatorConfig(gamma=0.5, m0=10, lam=2.4, t0=5)
         with pytest.raises(ValueError):
             EstimatorConfig(gamma=0.5, m0=10, lam=2.4, max_len=5)
+
+    def test_integral_float_m0_runs_as_its_integer(self):
+        r = ReturnSeries(np.random.default_rng(22).standard_normal(120))
+        config = EstimatorConfig(0.5, 10.0, 2.4)
+        assert type(config.m0) is int
+        path = estimate_path(r, config)
+        same = estimate_path(r, EstimatorConfig(0.5, 10, 2.4))
+        np.testing.assert_array_equal(path.interval_len, same.interval_len)
+        np.testing.assert_array_equal(path.sigma_hat, same.sigma_hat)
+        _, sigma, lens = batch_estimate(r.values[None, :], config)
+        np.testing.assert_array_equal(lens[0], same.interval_len)
+        np.testing.assert_allclose(sigma[0], same.sigma_hat, rtol=1e-12)
+        assert forecast_next(r, 120, config) == forecast_next(r, 120, same.config)
 
 
 class TestForecastNext:

@@ -21,7 +21,6 @@ from lave.errors import DegenerateWindowError
 from lave.estimator import (
     _BLOCK_ELEMENTS,
     EstimatorConfig,
-    _prefix_sums,
     _scan_at_tau,
     batch_estimate,
     estimate_path,
@@ -149,7 +148,7 @@ def test_staggered_drop_outs_compact_the_working_set_and_match_the_reference(m0,
     y = np.abs(returns) ** config.gamma
 
     chosen, theta, rejected, degenerate = _scan_at_tau(
-        _prefix_sums(y), n, m0, config.lam, params.s_gamma
+        y, n, m0, config.lam, params.s_gamma
     )
     stops = np.where(rejected > 0, rejected, chosen) // m0
     compacted_at = compactions(stops)
