@@ -70,9 +70,14 @@ class CalibrationSpec:
     def __post_init__(self):
         if not (self.gamma > 0.0):
             raise ValueError("gamma must be positive")
-        if not (self.m0 >= 1 and int(self.m0) == self.m0):
+        # counts: an integral float such as 80.0 is stored as its int
+        for name in ("M", "m0", "replications"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and int(value) == value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if self.m0 < 1:
             raise ValueError("m0 must be a positive integer")
-        object.__setattr__(self, "m0", int(self.m0))
         if self.M < 2 * self.m0:
             raise ValueError("M must be at least 2*m0 so the scan has something to test")
         if not (0.0 < self.target_alpha < 1.0):

@@ -17,9 +17,20 @@ split as `homogeneity_test` does. `_scan_path` walks the taus in blocks of
 bounded size, so memory does not grow with n, and serves `estimate_path`
 (one row) and `batch_estimate` (one row per Monte Carlo replication);
 `_scan_at_tau` is the kernel at one tau, and calibration shares its split
-arithmetic. The test suite pins the kernel to the reference. An exact tie
-at the threshold keeps the window in both wherever the two window means
-agree bit for bit, as for single values; numpy's mean sums pairwise, so in
+arithmetic.
+
+The kernel scans under several thresholds at once, and its results carry a
+leading threshold axis. A split's statistic and root do not depend on
+lambda; each threshold only makes its own comparison statistic > lam *
+root. Since fl(lam_lo * root) <= fl(lam_hi * root), a row that the smaller
+threshold keeps, the larger one keeps too, so one working set, held for
+the largest threshold, serves them all, and every threshold's decisions
+are those of a scan under it alone (`batch_estimate(..., lams=...)`; the
+change-point study scans each gamma once).
+
+The test suite pins the kernel to the reference. An exact tie at the
+threshold keeps the window in both wherever the two window means agree
+bit for bit, as for single values; numpy's mean sums pairwise, so in
 longer windows the means, and with them a tie, can differ in the last bit.
 """
 
@@ -304,8 +315,8 @@ def _block_sums(values: np.ndarray, m0: int) -> np.ndarray:
     accurate to its length times eps, relative."""
     rows = np.atleast_2d(np.asarray(values, dtype=float))
     # the m0 shifted copies of each row, added up: entry (i, s) of a row's
-    # view is values[s + i]
-    width = rows.shape[1] - m0 + 1
+    # view is values[s + i]; a row shorter than m0 has no blocks
+    width = max(rows.shape[1] - m0 + 1, 0)
     return np.lib.stride_tricks.sliding_window_view(rows, width, axis=1).sum(axis=1)
 
 
@@ -353,29 +364,38 @@ def _scan_taus(
     blocks: np.ndarray,
     taus: np.ndarray,
     m0: int,
-    lam: float,
+    lams: np.ndarray,
     s_gamma: float,
     max_len: int | None = None,
 ):
-    """Vectorized replica of select_interval's decisions at a block of taus.
+    """Vectorized replica of select_interval's decisions at a block of taus,
+    under each of the ascending thresholds lams at once.
 
     blocks : _block_sums of R series; taus : int64 array. Every
     (series, tau) pair is a row with its own candidate count
-    min(tau, max_len) // m0. Returns (R, taus.size) arrays: chosen length,
-    theta_hat, rejected candidate length (0 when none) and a flag for rows
-    where select_interval would raise.
+    min(tau, max_len) // m0. Returns (lams.size, R, taus.size) arrays:
+    chosen length, theta_hat and a flag for rows where select_interval
+    would raise.
 
     Candidates k = 1, 2, ... are taken one at a time on a candidate-major
     working set (candidates x rows). At candidate k each held row gathers
     only block k, the m0 values ending (k-1)*m0 before tau. The test sum
     grows by it, and so does the rest sum of every split of k (split j's
     rest is blocks j+1..k); the column's test-side terms are computed once
-    and serve every later candidate. Splits decide as homogeneity_test
-    does. A row stops at its first rejection or after its own last
-    candidate, and records theta_hat and its chosen length as it accepts
-    each candidate. Stopped rows stay in the working set, masked, until
-    fewer than half of its rows are live; then it is compacted to the live
-    rows.
+    and serve every later candidate. A split's statistic and root do not
+    depend on the threshold, so they are computed once for all of lams, and
+    each threshold decides with its own comparison statistic > lam * root,
+    as homogeneity_test does. A row stops, under each threshold, at its
+    first rejection or after its own last candidate, and records theta_hat
+    and its chosen length as it accepts each candidate.
+
+    For roots >= 0, lam_lo <= lam_hi gives fl(lam_lo * root) <= fl(lam_hi
+    * root), so a split that rejects under the larger threshold rejects
+    under the smaller one too: a row live under any threshold is live
+    under the largest. The working set therefore holds a row while it is
+    live under lams[-1]; stopped rows stay in it, masked, until fewer than
+    half of its rows are live under lams[-1], and then it is compacted to
+    those rows.
 
     The degenerate flag is decided as the blocks are gathered: a row is
     degenerate exactly when one of the blocks 1..k is zero, k being the
@@ -388,41 +408,44 @@ def _scan_taus(
     tops = taus if max_len is None else np.minimum(taus, int(max_len))
     all_cand = np.tile(tops // m0, n_series)
     n_rows, k_max = all_cand.size, int(all_cand.max())
-    # per-row results, copied out of the working set when it is compacted
-    # and at the end
-    out_chosen = np.empty(n_rows, dtype=np.int64)
-    out_theta = np.empty(n_rows)
-    out_degenerate = np.empty(n_rows, dtype=bool)
+    # per-threshold, per-row results, copied out of the working set when it
+    # is compacted and at the end
+    out_chosen = np.empty((lams.size, n_rows), dtype=np.int64)
+    out_theta = np.empty((lams.size, n_rows))
+    out_degenerate = np.empty((lams.size, n_rows), dtype=bool)
 
     # the working set: one entry per row it holds, live or masked
     rows = np.arange(n_rows)
     n_cand = all_cand
     at = (width * np.arange(n_series)[:, None] + taus).ravel()  # flat (series, tau)
     test_sum = np.zeros(n_rows)
-    chosen = np.empty(n_rows, dtype=np.int64)
-    theta = np.empty(n_rows)
-    degenerate = np.zeros(n_rows, dtype=bool)
-    live = np.ones(n_rows, dtype=bool)
+    chosen = np.empty((lams.size, n_rows), dtype=np.int64)
+    theta = np.empty((lams.size, n_rows))
+    degenerate = np.zeros((lams.size, n_rows), dtype=bool)
+    live = np.ones((lams.size, n_rows), dtype=bool)
     rest, theta_test, v_test_sq = (np.empty((k_max, n_rows)) for _ in range(3))
     fewest = int(n_cand.min())  # every held row has candidates up to here
+    lam_list = lams.tolist()
 
     for k in range(1, k_max + 1):
         if k > fewest:
             live &= n_cand >= k
-        n_live = np.count_nonzero(live)
+        n_live = np.count_nonzero(live[-1])
         if n_live == 0:
             break
         if 2 * n_live < rows.size:
-            out_chosen[rows], out_theta[rows], out_degenerate[rows] = chosen, theta, degenerate
-            keep = np.flatnonzero(live)
-            rows, n_cand, at, test_sum, chosen, theta, degenerate = (
-                a[keep] for a in (rows, n_cand, at, test_sum, chosen, theta, degenerate)
+            out_chosen[:, rows], out_theta[:, rows], out_degenerate[:, rows] = (
+                chosen, theta, degenerate
+            )
+            keep = np.flatnonzero(live[-1])
+            rows, n_cand, at, test_sum = (a[keep] for a in (rows, n_cand, at, test_sum))
+            chosen, theta, degenerate, live = (
+                a[:, keep] for a in (chosen, theta, degenerate, live)
             )
             held = (rest, theta_test, v_test_sq)
             rest, theta_test, v_test_sq = (np.empty((k_max, keep.size)) for _ in held)
             for old, new in zip(held, (rest, theta_test, v_test_sq)):
                 new[: k - 1] = old[: k - 1, keep]
-            live = np.ones(keep.size, dtype=bool)
             fewest = int(n_cand.min())
 
         # masked rows gather too; past its last candidate a row reads a
@@ -437,20 +460,26 @@ def _scan_taus(
             statistic, root = _split_terms(
                 rest[: k - 1], theta_test[: k - 1], v_test_sq[: k - 1], m0, s_gamma
             )
-            live ^= (statistic > lam * root).any(axis=0) & live
+            for lam, live_under in zip(lam_list, live):
+                live_under ^= (statistic > lam * root).any(axis=0) & live_under
         np.copyto(chosen, k, where=live)
         np.copyto(theta, theta_test[k - 1], where=live)
 
-    out_chosen[rows], out_theta[rows], out_degenerate[rows] = chosen, theta, degenerate
-    # a row stopped before its last candidate was rejected at the next one
-    out_rejected = np.where(out_chosen < all_cand, out_chosen + 1, 0)
-    shape = (n_series, taus.size)
+    out_chosen[:, rows], out_theta[:, rows], out_degenerate[:, rows] = chosen, theta, degenerate
+    shape = (lams.size, n_series, taus.size)
     return (
         (out_chosen * m0).reshape(shape),
         out_theta.reshape(shape),
-        (out_rejected * m0).reshape(shape),
         out_degenerate.reshape(shape),
     )
+
+
+def _rejected_lengths(lens, taus, m0: int, max_len: int | None = None):
+    """First rejected candidate length at each tau, read off the chosen
+    length: the next candidate where the scan stopped before its last one,
+    0 where it kept every candidate or left a gap (length 0)."""
+    tops = taus if max_len is None else np.minimum(taus, int(max_len))
+    return np.where((lens > 0) & (lens < tops // m0 * m0), lens + m0, 0)
 
 
 def _scan_at_tau(
@@ -464,42 +493,45 @@ def _scan_at_tau(
     """_scan_taus on the transformed values of R series at the single time
     tau: arrays over the series of chosen length, theta_hat, rejected
     candidate length (0 when none) and the degenerate flag."""
-    block = _scan_taus(_block_sums(values, m0), np.array([tau]), m0, lam, s_gamma, max_len)
-    return tuple(column[:, 0] for column in block)
+    taus = np.array([tau])
+    scan = _scan_taus(_block_sums(values, m0), taus, m0, np.array([lam]), s_gamma, max_len)
+    chosen, theta, degenerate = (column[0, :, 0] for column in scan)
+    return chosen, theta, _rejected_lengths(chosen, taus, m0, max_len), degenerate
 
 
-def _scan_path(values: np.ndarray, config: EstimatorConfig):
-    """Run the scan at every tau from t0 through n on each row of values.
+def _scan_path(blocks: np.ndarray, n: int, config: EstimatorConfig, lams):
+    """Run the scan at every tau from t0 through n on each series, under
+    each threshold of lams (any order; config.lam is not used).
 
-    values : (R, n) transformed series, one row per series. Returns taus
-    and (R, taus.size) arrays theta, lens and rejected (first rejected
-    candidate length, 0 when none); a degenerate window leaves a gap, NaN
-    in theta and 0 in lens and rejected. The taus are scanned in blocks of
-    at most _BLOCK_ELEMENTS working-set entries (rows x candidates), so
-    memory stays bounded in n.
+    blocks : _block_sums of (R, n) transformed series. Returns taus and
+    (lams.size, R, taus.size) arrays theta and lens, entry i under lams[i];
+    a degenerate window leaves a gap, NaN in theta and 0 in lens. The taus
+    are scanned in blocks of at most _BLOCK_ELEMENTS working-set entries
+    (rows x candidates), so memory stays bounded in n. _scan_taus takes
+    the thresholds in ascending order; its results are written straight to
+    their places in the caller's order.
     """
-    n_series, n = values.shape
     t0 = config.start_time
     if t0 > n:
         raise ValueError(f"t0={t0} exceeds series length {n}")
     s_gamma = moment_constants(config.gamma).s_gamma
-    blocks = _block_sums(values, config.m0)
+    lams = np.asarray(lams, dtype=float)
+    order = np.argsort(lams, kind="stable")
+    n_series = blocks.shape[0]
 
     taus = np.arange(t0, n + 1, dtype=np.int64)
     top = n if config.max_len is None else min(n, int(config.max_len))
     per_block = max(1, _BLOCK_ELEMENTS // (n_series * (top // config.m0)))
-    theta = np.empty((n_series, taus.size))
+    theta = np.empty((lams.size, n_series, taus.size))
     lens = np.empty(theta.shape, dtype=np.int64)
-    rejected = np.empty(theta.shape, dtype=np.int64)
     for lo in range(0, taus.size, per_block):
         block = slice(lo, lo + per_block)
-        chosen_len, theta_hat, rejected_len, degenerate = _scan_taus(
-            blocks, taus[block], config.m0, config.lam, s_gamma, config.max_len
+        chosen_len, theta_hat, degenerate = _scan_taus(
+            blocks, taus[block], config.m0, lams[order], s_gamma, config.max_len
         )
-        if degenerate.any():
-            theta_hat[degenerate], chosen_len[degenerate], rejected_len[degenerate] = np.nan, 0, 0
-        theta[:, block], lens[:, block], rejected[:, block] = theta_hat, chosen_len, rejected_len
-    return taus, theta, lens, rejected
+        theta_hat[degenerate], chosen_len[degenerate] = np.nan, 0
+        theta[order, :, block], lens[order, :, block] = theta_hat, chosen_len
+    return taus, theta, lens
 
 
 def estimate_path(r: ReturnSeries, config: EstimatorConfig) -> EstimatePath:
@@ -510,29 +542,46 @@ def estimate_path(r: ReturnSeries, config: EstimatorConfig) -> EstimatePath:
     """
     params = moment_constants(config.gamma)
     y = power_transform(r, config.gamma)
-    taus, theta, lens, rejected = _scan_path(y.values[None, :], config)
-    theta = theta[0]
+    blocks = _block_sums(y.values, config.m0)
+    taus, theta, lens = _scan_path(blocks, len(y), config, [config.lam])
+    theta, lens = theta[0, 0], lens[0, 0]
     return EstimatePath(
         taus=taus,
         theta_hat=theta,
         sigma_hat=theta_to_sigma(theta, params),
-        interval_len=lens[0],
-        rejected_at=rejected[0],
+        interval_len=lens,
+        rejected_at=_rejected_lengths(lens, taus, config.m0, config.max_len),
         config=config,
     )
 
 
-def batch_estimate(returns: np.ndarray, config: EstimatorConfig):
+def batch_estimate(returns: np.ndarray, config: EstimatorConfig, *, lams=None):
     """Run the adaptive scan at every tau >= t0 for many series at once.
 
     returns has shape (replications, n). Gives (taus, sigma_hat, lens) where
     sigma_hat and lens have shape (replications, taus.size); degenerate
     windows appear as NaN / 0, matching estimate_path's gap convention.
+
+    lams, a sequence of positive thresholds in any order, replaces
+    config.lam: the draws are scanned once for all of them, and sigma_hat
+    and lens gain a leading axis, entry i being bit for bit the result
+    under config.lam = lams[i]. Each threshold decides every split with its
+    own comparison; see _scan_taus.
     """
     returns = np.atleast_2d(np.asarray(returns, dtype=float))
+    thresholds = np.array([config.lam] if lams is None else lams, dtype=float)
+    if thresholds.ndim != 1 or thresholds.size == 0 or not np.all(thresholds > 0.0):
+        raise ValueError("lams must be a nonempty sequence of positive thresholds")
     params = moment_constants(config.gamma)
-    taus, theta, lens, _ = _scan_path(np.abs(returns) ** config.gamma, config)
-    return taus, theta_to_sigma(theta, params), lens
+    # the transformed values are dropped as soon as their block sums exist
+    blocks = _block_sums(np.abs(returns) ** config.gamma, config.m0)
+    taus, sigma, lens = _scan_path(blocks, returns.shape[1], config, thresholds)
+    # theta_to_sigma, in place: (theta / c_gamma) ** (1 / gamma)
+    sigma /= params.c_gamma
+    sigma **= 1.0 / params.gamma
+    if lams is None:
+        return taus, sigma[0], lens[0]
+    return taus, sigma, lens
 
 
 def forecast_next(r: ReturnSeries, t: int, config: EstimatorConfig) -> float:

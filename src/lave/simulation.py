@@ -232,7 +232,8 @@ def run_change_point_experiment(
     """Monte Carlo study of the scan on one change-point design.
 
     lambdas maps (gamma, m_label) to a threshold value; every gamma in
-    gammas is run once per matching entry. All configurations share one
+    gammas is run once per matching entry, one batch_estimate scan serving
+    all of that gamma's thresholds. All configurations share one
     seeded set of Gaussian draws, so cells are comparable and the output
     is reproducible from (design, seed) alone. Returns accumulated
     relative errors plus per-time median/quartile curves of the estimate
@@ -250,18 +251,22 @@ def run_change_point_experiment(
     cells = []
     curves = {}
     for gamma in gammas:
-        for (g, m_label), lam in sorted(lambdas.items()):
-            if g != gamma:
-                continue
-            config = EstimatorConfig(gamma=gamma, m0=m0, lam=float(lam), t0=t_start)
-            taus, sigma_hat, lens = batch_estimate(returns, config)
-            if not np.all(np.isfinite(sigma_hat)):
-                raise DegenerateWindowError(
-                    "degenerate window inside the scored range"
-                )
+        entries = [(m, float(lam)) for (g, m), lam in sorted(lambdas.items()) if g == gamma]
+        if not entries:
+            continue
+        # one scan of the draws serves every threshold of this gamma
+        config = EstimatorConfig(gamma=gamma, m0=m0, lam=entries[0][1], t0=t_start)
+        taus, sigma_hats, lens_all = batch_estimate(
+            returns, config, lams=[lam for _, lam in entries]
+        )
+        if not np.all(np.isfinite(sigma_hats)):
+            raise DegenerateWindowError(
+                "degenerate window inside the scored range"
+            )
+        for (m_label, lam), sigma_hat, lens in zip(entries, sigma_hats, lens_all):
             err = float(np.sum(((sigma_hat - sigma[taus - 1]) / sigma[taus - 1]) ** 2))
             cells.append(
-                ExperimentCell(gamma=gamma, lam=float(lam), m_label=int(m_label), error=err)
+                ExperimentCell(gamma=gamma, lam=lam, m_label=int(m_label), error=err)
             )
             q25, med, q75 = np.percentile(sigma_hat, [25.0, 50.0, 75.0], axis=0)
             l25, lmed, l75 = np.percentile(lens, [25.0, 50.0, 75.0], axis=0)

@@ -156,6 +156,22 @@ class TestCalibrateLambda:
         same = CalibrationSpec(0.5, 80, m0=10, replications=500)
         assert calibrate_lambda(spec).lam == calibrate_lambda(same).lam
 
+    def test_integral_float_counts_run_as_their_integers(self):
+        spec = CalibrationSpec(0.5, 80.0, replications=500.0)
+        assert type(spec.M) is int and type(spec.replications) is int
+        result = calibrate_lambda(spec)
+        assert result.replications == 500
+        assert result.lam == calibrate_lambda(CalibrationSpec(0.5, 80, replications=500)).lam
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"M": 80.5}, {"replications": 200.5}, {"m0": 10.5}, {"M": float("inf")},
+         {"replications": float("nan")}],
+    )
+    def test_non_integral_counts_are_rejected(self, fields):
+        with pytest.raises(ValueError, match="must be an integer"):
+            CalibrationSpec(**{"gamma": 0.5, "M": 80, **fields})
+
 
 class TestScaleFreeness:
     def test_scan_decisions_ignore_the_level(self, p05):

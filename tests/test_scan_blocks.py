@@ -10,6 +10,13 @@ Within a block the kernel masks stopped rows and compacts its working set
 once fewer than half of them are live. Rows that drop out at staggered
 candidates, a zero block first reached after a compaction, and blocks
 whose rows have different candidate counts pin that path to the reference.
+
+Several thresholds share one scan: the working set holds a row while it is
+live under the largest. Each threshold's results must equal a scan under
+that threshold alone bit for bit, also where the set compacts while a
+smaller threshold has already stopped many of the rows it keeps, and the
+change-point experiment, which scans each gamma once for all of its
+thresholds, must give the cells and curves of one run per threshold.
 """
 
 import tracemalloc
@@ -27,6 +34,7 @@ from lave.estimator import (
     select_interval,
 )
 from lave.series import ReturnSeries, TransformedSeries
+from lave.simulation import ChangePointSpec, run_change_point_experiment
 from lave.transform import power_constants, power_transform
 
 
@@ -211,3 +219,89 @@ def test_wide_batch_runs_in_bounded_memory():
         tracemalloc.stop()
     assert peak < 32 * 2**20
     assert sigma_hat.shape == (rows, taus.size) and np.all(lens > 0)
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def test_thresholds_scanned_together_match_one_scan_each_through_compactions():
+    rows, n, m0 = 1200, 90, 3
+    # one tau per block, so the last block is the scan at tau = n alone
+    assert rows * (n // m0) > _BLOCK_ELEMENTS // 2
+    rng = np.random.default_rng(8)
+    # staggered jumps from 1 to 6 stop the rows at spread candidates under
+    # the larger threshold; noisier returns than in the test above stop
+    # many of them much earlier under the smaller one
+    jumps = np.linspace(n - 3 * m0, 4 * m0, rows).astype(int)
+    sigma = np.where(np.arange(n) >= jumps[:, None], 6.0, 1.0)
+    returns = sigma * rng.uniform(0.5, 1.5, (rows, n)) * rng.choice([-1.0, 1.0], (rows, n))
+    depth = (3 * n // 4) // m0
+    zero_rows = np.arange(rows - 100, rows)
+    returns[zero_rows, n - depth * m0 : n - (depth - 1) * m0] = 0.0
+    low, high = 0.6, 2.4
+    config = EstimatorConfig(gamma=0.5, m0=m0, lam=high)
+    s_gamma = power_constants(config.gamma).s_gamma
+    y = np.abs(returns) ** config.gamma
+
+    stops, flags = {}, {}
+    for lam in (low, high):
+        chosen, _, rejected, flags[lam] = _scan_at_tau(y, n, m0, lam, s_gamma)
+        stops[lam] = np.where(rejected > 0, rejected, chosen) // m0
+    compacted_at = compactions(stops[high])
+    assert len(compacted_at) >= 2
+    for k in compacted_at:
+        # rows the compacted set keeps, though the smaller threshold has
+        # already stopped them
+        assert np.count_nonzero((stops[high] >= k) & (stops[low] < k)) > 0, k
+    # the zero block is reached under the larger threshold only, by rows
+    # held past a compaction
+    assert np.count_nonzero(flags[high] & ~flags[low]) > 0
+
+    lams = [high, low, high]
+    taus, sigma_hat, lens = batch_estimate(returns, config, lams=lams)
+    assert sigma_hat.shape == lens.shape == (len(lams), rows, taus.size)
+    for i, lam in enumerate(lams):
+        one = batch_estimate(returns, EstimatorConfig(gamma=0.5, m0=m0, lam=lam))
+        assert_same_bits(one[0], taus)
+        assert_same_bits(one[1], sigma_hat[i])
+        assert_same_bits(one[2], lens[i])
+    assert np.count_nonzero(lens[0, :, -1] == 0) == zero_rows.size
+    assert np.count_nonzero(lens[1, :, -1] == 0) < zero_rows.size
+
+
+def test_two_threshold_wide_batch_runs_in_bounded_memory():
+    rows = 2000
+    sigma = np.repeat([1.0, 3.0, 1.0], 80)  # the two-jump-3x design
+    returns = sigma * np.random.default_rng(4).standard_normal((rows, sigma.size))
+    config = EstimatorConfig(gamma=0.5, m0=10, lam=2.74, t0=20)
+    tracemalloc.start()
+    try:
+        taus, sigma_hat, lens = batch_estimate(returns, config, lams=[2.4, 2.74])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    assert sigma_hat.shape == (2, rows, taus.size) and np.all(lens > 0)
+
+
+def test_experiment_scans_each_gamma_once_and_matches_one_run_per_threshold():
+    design = ChangePointSpec(((60, 1.0), (60, 3.0), (60, 1.0)))
+    # gamma 0.5: three thresholds, unsorted by M label, one value twice
+    lambdas = {(0.5, 80): 2.8, (0.5, 40): 2.4, (0.5, 60): 2.4, (2.0, 40): 2.41, (2.0, 80): 2.9}
+    gammas = [0.5, 2.0]
+    together = run_change_point_experiment(design, gammas, lambdas, replications=150, seed=3)
+    cells, curves = [], {}
+    for gamma in gammas:
+        for key, lam in sorted(lambdas.items()):
+            if key[0] != gamma:
+                continue
+            one = run_change_point_experiment(design, [gamma], {key: lam}, replications=150, seed=3)
+            cells.extend(one.cells)
+            curves.update(one.curves)
+    assert together.cells == tuple(cells)
+    assert list(together.curves) == list(curves)
+    for key, curve in curves.items():
+        for field in vars(curve):
+            assert_same_bits(getattr(together.curves[key], field), getattr(curve, field))

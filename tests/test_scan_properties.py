@@ -13,9 +13,16 @@ zero.
 
 EstimatePath.rejected_at is pinned to select_interval's rejected_at on the
 same inputs, and an exact tie at the threshold keeps the window in both.
+
+batch_estimate scans once for several thresholds given in any order, with
+repeats; entry i of its results must equal, bit for bit, the scan under
+the i-th threshold alone.
 """
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -139,3 +146,26 @@ def test_exact_tie_at_the_threshold_keeps_the_window():
     sel = select_interval(y, 2, config.m0, config.lam, params)
     assert sel.chosen_len == 2
     assert estimate_path(r, config).interval_len[-1] == sel.chosen_len
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(scan_cases(), st.lists(st.floats(0.5, 4.0), min_size=1, max_size=3), st.randoms())
+def test_thresholds_scanned_together_match_one_scan_each(case, extra, random):
+    config, rows = case
+    # unsorted, with config.lam at least twice
+    lams = [config.lam, config.lam, *extra]
+    random.shuffle(lams)
+    taus, sigma, lens = batch_estimate(rows, config, lams=lams)
+    assert sigma.shape == lens.shape == (len(lams), ROWS, taus.size)
+    for i, lam in enumerate(lams):
+        one_taus, one_sigma, one_lens = batch_estimate(rows, replace(config, lam=lam))
+        assert one_taus.tobytes() == taus.tobytes()
+        assert one_sigma.tobytes() == sigma[i].tobytes()
+        assert one_lens.tobytes() == lens[i].tobytes()
+
+
+@pytest.mark.parametrize("lams", [[], [2.0, 0.0], [2.0, -1.0], [float("nan")], [[2.0, 3.0]]])
+def test_batch_estimate_rejects_bad_thresholds(lams):
+    config = EstimatorConfig(gamma=0.5, m0=2, lam=2.0)
+    with pytest.raises(ValueError, match="lams"):
+        batch_estimate(np.ones((2, 10)), config, lams=lams)
