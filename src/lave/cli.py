@@ -1,10 +1,14 @@
 """Command-line interface: CSV ingestion, config echo, subcommand dispatch.
 
-Subcommands: constants, calibrate, estimate, simulate, backtest, stats, acf.
-Every output CSV starts with '#' comment lines that echo the parsed
-configuration as a flag string; parsing that string reproduces the same
-RunConfig, so a run is fully described by its own output header. Exit codes:
-0 success, 2 usage, 3 input data, 4 domain or numeric, 5 nonconvergence.
+Subcommands: constants, calibrate, estimate, simulate, backtest, stats, acf,
+each listed once in _COMMANDS with its handler and help line. Every flag's
+default is stated once, in RunConfig: the parser leaves an omitted flag out
+of its namespace. Every output CSV starts with '#' comment lines that echo
+the parsed configuration as a flag string; parsing that string reproduces
+the same RunConfig, so a run is fully described by its own output header.
+The header always carries --seed: $LAVE_SEED only supplies its default.
+Exit codes: 0 success, 2 usage, 3 input data, 4 domain or numeric, 5
+nonconvergence.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +77,7 @@ class RunConfig:
     lam: str = "auto:80"
     t0: int | None = None
     max_len: int | None = None
-    seed: int = 0
+    seed: int = field(default_factory=lambda: int(os.environ.get("LAVE_SEED", "0")))
     out_dir: str = "."
     deterministic: bool = False
     input_path: str | None = None
@@ -92,7 +96,9 @@ class RunConfig:
     curves_for: str = "0.5,80"
 
     def to_argv(self) -> list[str]:
-        """Flag list that parses back to this exact config."""
+        """Flag list that parses back to this exact config. A field left at
+        its default is omitted; seed has no fixed default (its factory reads
+        $LAVE_SEED), so it is always written."""
         argv = [self.command]
         for f in fields(self):
             if f.name == "command":
@@ -113,13 +119,14 @@ class RunConfig:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--gamma", type=float, default=0.5, help="power transform exponent")
-    common.add_argument("--m0", type=int, default=10, help="grid step and minimal window")
+    # a flag left out stays out of the namespace, so RunConfig supplies
+    # every default
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--gamma", type=float, help="power transform exponent")
+    common.add_argument("--m0", type=int, help="grid step and minimal window")
     common.add_argument(
         "--lam",
         "--lambda",
-        default="auto:80",
         help="threshold: a number, table:M (shipped default), or auto:M (calibrated "
         "at 2000 replications, so about 0.1 of noise)",
     )
@@ -127,84 +134,58 @@ def _build_parser() -> argparse.ArgumentParser:
         "--auto-M",
         dest="auto_M",
         type=int,
-        default=None,
         help="shorthand for --lam auto:M (calibrate the threshold for length M)",
     )
-    common.add_argument("--t0", type=int, default=None, help="first estimation time (default 2*m0)")
-    common.add_argument("--max-len", type=int, default=None, help="cap on the candidate window length")
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=int(os.environ.get("LAVE_SEED", "0")),
-        help="RNG seed (default: $LAVE_SEED or 0)",
-    )
-    common.add_argument("--out-dir", "--out", default=".", help="directory for output CSVs")
+    common.add_argument("--t0", type=int, help="first estimation time (default 2*m0)")
+    common.add_argument("--max-len", type=int, help="cap on the candidate window length")
+    common.add_argument("--seed", type=int, help="RNG seed (default: $LAVE_SEED or 0)")
+    common.add_argument("--out-dir", "--out", help="directory for output CSVs")
     common.add_argument(
         "--deterministic", action="store_true", help="suppress the timestamp header line"
     )
-    common.add_argument("--input", dest="input_path", default=None, help="input CSV path")
+    common.add_argument("--input", dest="input_path", help="input CSV path")
     common.add_argument(
-        "--input-kind", choices=["auto", "returns", "prices"], default="auto",
+        "--input-kind", choices=["auto", "returns", "prices"],
         help="how to read a column with no recognized header",
     )
     common.add_argument(
-        "--design", default=None,
-        help="change-point design: preset name or LENxSIGMA,LENxSIGMA,...",
+        "--design", help="change-point design: preset name or LENxSIGMA,LENxSIGMA,..."
     )
     common.add_argument(
-        "--gamma-grid", default="default",
-        help="comma list of gammas, or 'default' for 0.5,1.0,2.0",
+        "--gamma-grid", help="comma list of gammas, or 'default' for 0.5,1.0,2.0"
     )
     common.add_argument(
-        "--lambdas", default="table",
+        "--lambdas",
         help="'table', 'auto' (calibrated at 2000 replications, so about 0.1 of "
         "noise), or explicit GAMMA:M:VALUE;... entries",
     )
-    common.add_argument(
-        "--replications", "--reps", type=int, default=None, help="Monte Carlo replications"
-    )
-    common.add_argument("--t-start", type=int, default=20, help="first scored time for simulate")
-    common.add_argument("--M", dest="m_ref", type=int, default=80, help="reference window length")
-    common.add_argument("--alpha", type=float, default=0.05, help="calibration target rate")
-    common.add_argument(
-        "--garch-window", "--window", type=int, default=350, help="rolling fit window"
-    )
-    common.add_argument(
-        "--p", type=float, default=0.5, help="forecast criterion exponent"
-    )
-    common.add_argument("--max-lag", type=int, default=50, help="largest autocorrelation lag")
+    common.add_argument("--replications", "--reps", type=int, help="Monte Carlo replications")
+    common.add_argument("--t-start", type=int, help="first scored time for simulate")
+    common.add_argument("--M", dest="m_ref", type=int, help="reference window length")
+    common.add_argument("--alpha", type=float, help="calibration target rate")
+    common.add_argument("--garch-window", "--window", type=int, help="rolling fit window")
+    common.add_argument("--p", type=float, help="forecast criterion exponent")
+    common.add_argument("--max-lag", type=int, help="largest autocorrelation lag")
     common.add_argument(
         "--standardize", action="store_true",
         help="also emit the ACF of returns standardized by the adaptive estimate",
     )
-    common.add_argument(
-        "--curves-for", default="0.5,80",
-        help="GAMMA,M combination written to curves.csv",
-    )
+    common.add_argument("--curves-for", help="GAMMA,M combination written to curves.csv")
 
     parser = argparse.ArgumentParser(
         prog="lave", description="Adaptive local-window volatility estimation toolkit"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, short in [
-        ("constants", "emit the power-transform constant table"),
-        ("calibrate", "Monte Carlo calibration of the scan threshold"),
-        ("estimate", "per-time adaptive volatility estimates for a series"),
-        ("simulate", "change-point Monte Carlo study: errors and curves"),
-        ("backtest", "adaptive vs rolling-GARCH forecast comparison"),
-        ("stats", "summary statistics of a series"),
-        ("acf", "autocorrelations of absolute returns"),
-    ]:
+    for name, (_, short) in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=short)
     return parser
 
 
 def parse_config(argv) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    if ns.auto_M is not None:
-        ns.lam = f"auto:{ns.auto_M}"
-    kwargs = {f.name: getattr(ns, f.name) for f in fields(RunConfig)}
-    return RunConfig(**kwargs)
+    given = vars(_build_parser().parse_args(argv))
+    if "auto_M" in given:
+        given["lam"] = f"auto:{given.pop('auto_M')}"
+    return RunConfig(**given)
 
 
 def ingest_csv(path, kind: str = "auto") -> ReturnSeries:
@@ -427,6 +408,11 @@ def _cmd_estimate(cfg: RunConfig) -> Path:
 def _cmd_simulate(cfg: RunConfig) -> Path:
     if not cfg.design:
         raise InputDataError("simulate needs --design")
+    try:
+        g_text, m_text = cfg.curves_for.split(",")
+        curves_key = (float(g_text), int(m_text))
+    except ValueError as exc:
+        raise ValueError(f"--curves-for {cfg.curves_for!r} is not GAMMA,M") from exc
     design = _parse_design(cfg.design, cfg.seed)
     gammas = _parse_gamma_grid(cfg.gamma_grid)
     lambdas = _resolve_lambda_table(cfg, gammas)
@@ -446,14 +432,12 @@ def _cmd_simulate(cfg: RunConfig) -> Path:
         cfg, "errors.csv", ["gamma", "lambda", "M_label", "error"], err_rows
     )
 
-    g_text, m_text = cfg.curves_for.split(",")
-    key = (float(g_text), int(m_text))
-    if key not in result.curves:
+    if curves_key not in result.curves:
         fallback = min(result.curves)
         log.warning("--curves-for gamma=%s, M=%s was not computed; writing gamma=%s, M=%s",
-                    *key, *fallback)
-        key = fallback
-    curve = result.curves[key]
+                    *curves_key, *fallback)
+        curves_key = fallback
+    curve = result.curves[curves_key]
     curve_rows = [
         [int(t), _fmt(float(st)), _fmt(float(med)), _fmt(float(q25)), _fmt(float(q75)),
          _fmt(float(lm)), _fmt(float(l25)), _fmt(float(l75))]
@@ -530,21 +514,23 @@ def _cmd_acf(cfg: RunConfig) -> Path:
     return path
 
 
+# each subcommand's handler and its --help line
 _COMMANDS = {
-    "constants": _cmd_constants,
-    "calibrate": _cmd_calibrate,
-    "estimate": _cmd_estimate,
-    "simulate": _cmd_simulate,
-    "backtest": _cmd_backtest,
-    "stats": _cmd_stats,
-    "acf": _cmd_acf,
+    "constants": (_cmd_constants, "emit the power-transform constant table"),
+    "calibrate": (_cmd_calibrate, "Monte Carlo calibration of the scan threshold"),
+    "estimate": (_cmd_estimate, "per-time adaptive volatility estimates for a series"),
+    "simulate": (_cmd_simulate, "change-point Monte Carlo study: errors and curves"),
+    "backtest": (_cmd_backtest, "adaptive vs rolling-GARCH forecast comparison"),
+    "stats": (_cmd_stats, "summary statistics of a series"),
+    "acf": (_cmd_acf, "autocorrelations of absolute returns"),
 }
 
 
 def dispatch(cfg: RunConfig) -> int:
     """Run one subcommand; returns the process exit code."""
     try:
-        out = _COMMANDS[cfg.command](cfg)
+        handler, _ = _COMMANDS[cfg.command]
+        out = handler(cfg)
     except InputDataError as exc:
         print(f"lave-error code=3 kind=input message={exc}", file=sys.stderr)
         return 3

@@ -16,8 +16,8 @@ cancel, since the transformed values are nonnegative, and decides every
 split as `homogeneity_test` does. `_scan_path` walks the taus in blocks of
 bounded size, so memory does not grow with n, and serves `estimate_path`
 (one row) and `batch_estimate` (one row per Monte Carlo replication);
-`_scan_at_tau` is the kernel at one tau, and calibration shares its split
-arithmetic.
+`_scan_at_tau` is the kernel at one tau, which `forecast_next` runs, and
+calibration shares its split arithmetic.
 
 The kernel scans under several thresholds at once, and its results carry a
 leading threshold axis. A split's statistic and root do not depend on
@@ -587,7 +587,9 @@ def batch_estimate(returns: np.ndarray, config: EstimatorConfig, *, lams=None):
 def forecast_next(r: ReturnSeries, t: int, config: EstimatorConfig) -> float:
     """One-step-ahead volatility forecast: sigma_hat at t extrapolated to t+1.
 
-    Uses observations up to and including t only.
+    Uses observations up to and including t only, and equals estimate_path's
+    sigma_hat at t bit for bit. Raises DegenerateWindowError where
+    estimate_path leaves a gap.
     """
     if t < config.start_time:
         raise ValueError(f"t={t} is before the first estimation time {config.start_time}")
@@ -595,5 +597,9 @@ def forecast_next(r: ReturnSeries, t: int, config: EstimatorConfig) -> float:
         raise ValueError(f"t={t} exceeds series length {len(r)}")
     params = moment_constants(config.gamma)
     y = power_transform(r, config.gamma)
-    sel = select_interval(y, t, config.m0, config.lam, params, config.max_len)
-    return theta_to_sigma(sel.theta_hat, params)
+    _, theta, _, degenerate = _scan_at_tau(
+        y.values[:t], t, config.m0, config.lam, params.s_gamma, config.max_len
+    )
+    if degenerate[0]:
+        raise DegenerateWindowError(f"a window examined at t={t} contains only zeros")
+    return theta_to_sigma(theta[0], params)

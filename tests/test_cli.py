@@ -175,6 +175,20 @@ class TestConfigParsing:
         assert parse_config(["stats"]).seed == 7
         assert parse_config(["stats", "--seed", "3"]).seed == 3
 
+    def test_seed_header_reproduces_under_any_env(self, monkeypatch):
+        # the header always carries the seed, so $LAVE_SEED cannot stand in
+        # for one that equals 0
+        monkeypatch.setenv("LAVE_SEED", "7")
+        cfg = parse_config(["stats", "--seed", "0"])
+        assert cfg.seed == 0
+        assert parse_config(cfg.to_argv()) == cfg
+
+    @pytest.mark.parametrize(
+        "command", ["constants", "calibrate", "estimate", "simulate", "backtest", "stats", "acf"]
+    )
+    def test_every_default_comes_from_runconfig(self, command):
+        assert parse_config([command]) == RunConfig(command=command)
+
     def test_design_presets_and_syntax(self):
         spec = _parse_design("two-jump-3x", seed=4)
         assert spec.segments == ((80, 1.0), (80, 3.0), (80, 1.0))
@@ -365,6 +379,14 @@ class TestExitCodes:
         code = main(["constants", "--gamma-grid", "-1", "--out-dir", str(tmp_path)])
         assert code == 4
         assert "lave-error code=4 kind=domain" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("curves_for", ["0.5", "0.5,eighty"])
+    def test_malformed_curves_for_exits_four_before_the_study(self, tmp_path, capsys, curves_for):
+        argv = ["simulate", "--design", "two-jump-3x", "--reps", "5", "--curves-for", curves_for,
+                "--out-dir", str(tmp_path), "--deterministic"]
+        assert main(argv) == 4
+        assert "--curves-for" in capsys.readouterr().err
+        assert not (tmp_path / "errors.csv").exists()
 
     def test_unbracketed_calibration_exits_five(self, tmp_path, capsys):
         cfg = RunConfig(

@@ -384,6 +384,25 @@ class TestForecastNext:
         scores = np.asarray(scores)
         assert scores.std() / scores.mean() < 0.05
 
+    def test_equals_estimate_path_bitwise(self):
+        r = ReturnSeries(np.random.default_rng(0).standard_normal(2000))
+        for config in (EstimatorConfig(0.5, 10, 2.74), EstimatorConfig(1.0, 5, 2.5, max_len=100)):
+            path = estimate_path(r, config)
+            for t in (config.start_time, 333, 1000, 2000):
+                assert forecast_next(r, t, config) == path.sigma_hat[t - config.start_time]
+
+    def test_raises_where_estimate_path_leaves_a_gap(self):
+        r = ReturnSeries(np.r_[np.ones(30), np.zeros(20), np.ones(30)])
+        config = EstimatorConfig(gamma=0.5, m0=10, lam=2.4)
+        path = estimate_path(r, config)
+        assert 0 < np.count_nonzero(path.interval_len == 0) < len(path)
+        for t, m, sigma in zip(path.taus, path.interval_len, path.sigma_hat):
+            if m == 0:
+                with pytest.raises(DegenerateWindowError):
+                    forecast_next(r, int(t), config)
+            else:
+                assert forecast_next(r, int(t), config) == sigma
+
     def test_range_validation(self):
         r = ReturnSeries(np.ones(50))
         config = EstimatorConfig(gamma=0.5, m0=10, lam=2.4)
