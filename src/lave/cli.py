@@ -317,22 +317,36 @@ def _estimator_config(cfg: RunConfig) -> tuple[EstimatorConfig, int]:
     """EstimatorConfig from the flags, and the M of --lam auto:M or table:M
     (0 when --lam is a number)."""
     source, _, m_text = cfg.lam.partition(":")
-    if source in ("auto", "table"):
-        m_label = int(m_text)
+    calibrated = source in ("auto", "table")
+    try:
+        m_label = int(m_text) if calibrated else 0
+        lam = None if calibrated else float(cfg.lam)
+    except ValueError as exc:
+        raise ValueError(f"--lam {cfg.lam!r} is not a number, table:M or auto:M") from exc
+    if calibrated:
         lam = _threshold(cfg, cfg.gamma, source, m_label)
-    else:
-        m_label, lam = 0, float(cfg.lam)
     return EstimatorConfig(cfg.gamma, cfg.m0, lam, t0=cfg.t0, max_len=cfg.max_len), m_label
 
 
 def _resolve_lambda_table(cfg: RunConfig, gammas) -> dict:
-    """Threshold per (gamma, M label) for the simulate experiment grid."""
+    """Threshold per (gamma, M label) for the simulate experiment grid. An
+    explicit table that leaves out a gamma of the grid drops it, with a
+    warning."""
     if cfg.lambdas in ("auto", "table"):
         return {(g, m): _threshold(cfg, g, cfg.lambdas, m) for g in gammas for m in (40, 80)}
     table = {}
-    for entry in cfg.lambdas.split(";"):
-        g, m, value = entry.split(":")
-        table[(float(g), int(m))] = float(value)
+    try:
+        for entry in cfg.lambdas.split(";"):
+            g, m, value = entry.split(":")
+            table[(float(g), int(m))] = float(value)
+    except ValueError as exc:
+        raise ValueError(
+            f"--lambdas {cfg.lambdas!r} is not 'table', 'auto' or GAMMA:M:VALUE;... entries"
+        ) from exc
+    dropped = [str(g) for g in gammas if all(key[0] != g for key in table)]
+    if dropped:
+        log.warning("--lambdas has no entry for gamma=%s of --gamma-grid; they are not run",
+                    ",".join(dropped))
     return table
 
 

@@ -2,7 +2,12 @@
 and the rolling one-step-ahead forecast pipeline.
 
 The variance recursion is sigma2_t = omega + alpha * R_{t-1}^2 +
-beta * sigma2_{t-1} with sigma2_1 supplied by the caller. Fitting maximizes
+beta * sigma2_{t-1} with sigma2_1 supplied by the caller. It and the
+recursions of its derivatives below, all of the form y_t = x_t +
+beta y_{t-1}, run as solves of the unit lower-bidiagonal system
+(I - beta S) y = x, S the one-step shift, by LAPACK's tridiagonal dgtsv.
+For beta <= 1 dgtsv swaps no rows, so it rounds exactly as the recursion
+does and equals it bit for bit (see _beta_recursion). Fitting maximizes
 the Gaussian log likelihood on an unconstrained reparameterization
 (log omega, logit persistence, logit split), which keeps every iterate
 inside {omega > 0, alpha >= 0, beta >= 0, alpha + beta <= 1 - 1e-6}.
@@ -12,22 +17,25 @@ warm-started from given parameters, as each refit of rolling_forecast is,
 uses Newton's method on the exact Hessian: the derivatives of sigma2_t
 follow the recursion d sigma2_t = (1, R_{t-1}^2, sigma2_{t-1}) +
 beta d sigma2_{t-1} with d sigma2_1 = 0, and the second derivatives the
-same recursion driven by d sigma2_{t-1}, two more IIR filter passes with
-the same denominator. From a neighbouring window's optimum it converges in
-about three steps whatever the data. The two searches do not always end at
-the same maximum when the likelihood has several. From the default start
-a local search can take a different local maximum than the simplex, so
-cold fits keep the simplex. A warm refit that starts with persistence at
-its cap, a local maximum flat in the logit of persistence, stays there;
-the simplex sometimes stepped off it to a higher interior maximum.
+same recursion driven by d sigma2_{t-1}. From a neighbouring window's
+optimum it converges in about three steps whatever the data. The two
+searches do not always end at the same maximum when the likelihood has
+several. From the default start a local search can take a different local
+maximum than the simplex, so cold fits keep the simplex. A warm refit
+that starts with persistence at its cap, a local maximum flat in the logit
+of persistence, stays there; the simplex sometimes stepped off it to a
+higher interior maximum.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, signal, special
+from scipy import optimize, special
+from scipy.linalg import lapack
 
 from .errors import GarchConvergenceError
 from .series import ReturnSeries
@@ -91,8 +99,9 @@ class RollingForecast:
 def garch_filter(params: GarchParams, r: ReturnSeries, sigma0_sq: float) -> np.ndarray:
     """Variance path sigma2_1..sigma2_n with sigma2_1 = sigma0_sq.
 
-    The recursion in the beta-lag is linear, so it runs through a single
-    IIR filter pass instead of a Python loop.
+    The recursion in the beta-lag is linear, so it runs as one bidiagonal
+    solve (LAPACK dgtsv) instead of a Python loop, with the same result bit
+    for bit: see _beta_recursion.
     """
     if not (sigma0_sq > 0.0):
         raise ValueError(f"sigma0_sq must be positive, got {sigma0_sq}")
@@ -102,13 +111,53 @@ def garch_filter(params: GarchParams, r: ReturnSeries, sigma0_sq: float) -> np.n
     return _variance_path(params, values**2, sigma0_sq)
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_bands(n: int) -> tuple[np.ndarray, np.ndarray]:
+    # diagonal and superdiagonal of I - beta S; dgtsv copies them, as their
+    # overwrite flags are left off, so one read-only pair serves every call
+    d, du = np.ones(n), np.zeros(n - 1)
+    d.flags.writeable = du.flags.writeable = False
+    return d, du
+
+
+def _beta_recursion(beta: float, x: np.ndarray) -> np.ndarray:
+    """y_0 = x_0 and y_t = x_t + beta y_{t-1} along the last axis of x.
+
+    Solves (I - beta S) y = x, S the one-step shift, by LAPACK's dgtsv, the
+    rows of a 2-D x as the columns of one multi-right-hand-side call; x is
+    left unchanged. For |beta| <= 1 dgtsv swaps no rows: its elimination
+    computes x_t - (-beta) y_{t-1}, rounded as x_t + beta y_{t-1} is, and
+    its back substitution subtracts zero multiples and divides by ones, so y
+    is the recursion bit for bit. The recursion runs directly in Python
+    floats where dgtsv cannot be used or trusted: a single value (dgtsv
+    refuses zero-length off-diagonals), |beta| > 1 (rows swap, and a pivot
+    can underflow to zero, info > 0, leaving a finite wrong answer) and a
+    path that overflows (back substitution turns 0 * inf into nan, which
+    reaches y_0 from wherever it starts).
+    """
+    beta = float(beta)
+    n = x.shape[-1]
+    if n > 1 and abs(beta) <= 1.0:
+        dl = np.empty(n - 1)
+        dl.fill(-beta)
+        d, du = _unit_bands(n)
+        _, _, _, y, info = lapack.dgtsv(dl, d, du, x.T, overwrite_dl=1)
+        if info == 0 and all(map(math.isfinite, np.ravel(y[0]).tolist())):
+            return y.T
+    rows = np.reshape(x, (-1, n)).tolist()
+    for row in rows:
+        for t in range(1, n):
+            row[t] += beta * row[t - 1]
+    return np.array(rows).reshape(x.shape)
+
+
 def _variance_path(params: GarchParams, r2: np.ndarray, sigma0_sq: float) -> np.ndarray:
-    # the recursion on squared returns r2, at least two of them
-    drive = params.omega + params.alpha * r2[:-1]
-    tail, _ = signal.lfilter(
-        [1.0], [1.0, -params.beta], drive, zi=[params.beta * sigma0_sq]
-    )
-    return np.concatenate(([float(sigma0_sq)], tail))
+    # the recursion on squared returns r2, at least two of them, with the
+    # start sigma2_1 = sigma0_sq as its first drive
+    drive = np.empty(r2.size)
+    drive[0] = sigma0_sq
+    drive[1:] = params.omega + params.alpha * r2[:-1]
+    return _beta_recursion(params.beta, drive)
 
 
 def garch_loglik(params: GarchParams, r: ReturnSeries, sigma0_sq: float) -> float:
@@ -148,14 +197,15 @@ def _loglik_grad_hess(z: np.ndarray, r2: np.ndarray, sigma0_sq: float):
     s2 = _variance_path(params, r2, sigma0_sq)
     value = 0.5 * float(np.sum(np.log(s2) + r2 / s2))
     # d s2_t / d(omega, alpha, beta) for t >= 2; zero at t = 1
-    drives = np.stack((np.ones(r2.size - 1), r2[:-1], s2[:-1]))
-    ds2 = signal.lfilter([1.0], [1.0, -beta], drives, axis=1)
+    drives = np.empty((3, r2.size - 1))
+    drives[0], drives[1], drives[2] = 1.0, r2[:-1], s2[:-1]
+    ds2 = _beta_recursion(beta, drives)
     # d2 s2_t / d(omega, alpha, beta) d beta: driven by d s2_{t-1}, twice
     # for (beta, beta); every pair without beta has zero second derivative
     lagged = np.zeros_like(ds2)
     lagged[:, 1:] = ds2[:, :-1]
     lagged[2] *= 2.0
-    d2s2 = signal.lfilter([1.0], [1.0, -beta], lagged, axis=1)
+    d2s2 = _beta_recursion(beta, lagged)
     s, x = s2[1:], r2[1:]
     weight = 0.5 * (s - x) / s**2  # d(value) / d s2_t
     curvature = 0.5 * (2.0 * x - s) / s**3  # d2(value) / d s2_t^2

@@ -284,6 +284,20 @@ class TestCommands:
             assert dispatch(cfg) == 0
         assert "--curves-for gamma=1.0, M=80 was not computed; writing gamma=0.5, M=40" in caplog.text
 
+    def test_simulate_names_gammas_an_explicit_table_drops(self, tmp_path, caplog):
+        common = dict(
+            command="simulate", design="two-jump-3x", replications=5,
+            lambdas="0.5:80:2.7", deterministic=True,
+        )
+        only = RunConfig(gamma_grid="0.5", out_dir=str(tmp_path / "only"), **common)
+        assert dispatch(only) == 0
+        grid = RunConfig(gamma_grid="0.5,1.0,2.0", out_dir=str(tmp_path / "grid"), **common)
+        with caplog.at_level(logging.WARNING, logger="lave.cli"):
+            assert dispatch(grid) == 0
+        assert "--lambdas has no entry for gamma=1.0,2.0 of --gamma-grid" in caplog.text
+        for name in ("errors.csv", "curves.csv"):
+            assert read_output(tmp_path / "grid" / name) == read_output(tmp_path / "only" / name)
+
     def test_backtest_outputs(self, tmp_path):
         f = tmp_path / "returns.csv"
         write_returns(f, np.random.default_rng(2).standard_normal(160))
@@ -388,6 +402,22 @@ class TestExitCodes:
         assert "--curves-for" in capsys.readouterr().err
         assert not (tmp_path / "errors.csv").exists()
 
+    def test_malformed_lambdas_exits_four_before_the_study(self, tmp_path, capsys):
+        argv = ["simulate", "--design", "two-jump-3x", "--reps", "5", "--lambdas", "0.5:80",
+                "--out-dir", str(tmp_path), "--deterministic"]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "--lambdas '0.5:80' is not" in err and "GAMMA:M:VALUE" in err
+        assert not (tmp_path / "errors.csv").exists()
+
+    def test_malformed_lam_exits_four(self, tmp_path, capsys):
+        argv = ["estimate", "--design", "two-jump-3x", "--lam", "auto",
+                "--out-dir", str(tmp_path), "--deterministic"]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "--lam 'auto' is not a number, table:M or auto:M" in err
+        assert not (tmp_path / "estimate.csv").exists()
+
     def test_unbracketed_calibration_exits_five(self, tmp_path, capsys):
         cfg = RunConfig(
             command="calibrate", m_ref=20, alpha=0.9, replications=300,
@@ -416,6 +446,24 @@ class TestReproducibility:
         assert first.startswith("# config: ")
         echoed = first[len("# config: "):].split()
         assert parse_config(echoed) == cfg
+
+
+
+class TestStartup:
+    def test_import_loads_neither_scipy_signal_nor_stats(self):
+        # a fresh interpreter: importing scipy.signal pulls in scipy.stats
+        # and more, about a third of the CLI's start-up, and lave needs neither
+        src = str(Path(lave.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        code = (
+            "import sys, lave.cli; "
+            "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestLogging:

@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 import lave.garch as garch_mod
 from lave.errors import GarchConvergenceError
@@ -325,6 +326,78 @@ def _benchmark_returns(seed: int, n: int = 600) -> np.ndarray:
         r[t] = np.sqrt(s2) * xi[t]
         s2 = omega + alpha * r[t] ** 2 + beta * s2
     return r[burn:]
+
+
+def _direct_path(params, values, sigma0_sq):
+    # sigma2_t = omega + alpha R_{t-1}^2 + beta sigma2_{t-1} in Python floats
+    path = [float(sigma0_sq)]
+    for r in values[:-1].tolist():
+        path.append(params.omega + params.alpha * (r * r) + params.beta * path[-1])
+    return np.array(path)
+
+
+def _direct_recursion(beta, x):
+    # y_0 = x_0, y_t = x_t + beta y_{t-1} along the last axis, in Python floats
+    rows = np.reshape(x, (-1, np.shape(x)[-1])).tolist()
+    for row in rows:
+        for t in range(1, len(row)):
+            row[t] = row[t] + beta * row[t - 1]
+    return np.array(rows).reshape(np.shape(x))
+
+
+class TestBidiagonalSolve:
+    """The recursions run as LAPACK dgtsv solves (garch._beta_recursion)."""
+
+    @pytest.mark.parametrize("n", [2, 3, 350])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.9, 1 - 1e-6, 1.0])
+    def test_equals_the_direct_recursion_bit_for_bit(self, beta, n):
+        rng = np.random.default_rng([n, int(beta * 1e6)])
+        # a variance path from its start value, through garch_filter on n
+        # observations
+        r = ReturnSeries(rng.standard_normal(n) * rng.lognormal(0.0, 2.0, n))
+        p = GarchParams(omega=0.05, alpha=0.1, beta=beta)
+        np.testing.assert_array_equal(garch_filter(p, r, 1.7), _direct_path(p, r.values, 1.7))
+        # three drive rows, shaped like the derivative recursions'
+        drives = np.stack((np.ones(n), rng.lognormal(0.0, 2.0, n), rng.lognormal(0.0, 3.0, n)))
+        before = drives.copy()
+        got = garch_mod._beta_recursion(beta, drives)
+        assert got.shape == drives.shape
+        np.testing.assert_array_equal(got, _direct_recursion(beta, drives))
+        np.testing.assert_array_equal(drives, before)
+        np.testing.assert_array_equal(
+            garch_mod._beta_recursion(beta, drives[1]), _direct_recursion(beta, drives[1])
+        )
+
+    def test_single_value_is_its_own_solution(self):
+        # dgtsv rejects the zero-length off-diagonals of a 1 x 1 system
+        for x in (np.array([2.5]), np.array([[2.5], [0.5], [1.0]])):
+            np.testing.assert_array_equal(garch_mod._beta_recursion(0.9, x), x)
+
+    def test_overflow_keeps_the_finite_prefix(self):
+        # dgtsv's back substitution would turn the inf tail into nan throughout
+        p = GarchParams(omega=1e308, alpha=0.0, beta=0.9)
+        s2 = garch_filter(p, ReturnSeries(np.ones(5)), sigma0_sq=1.0)
+        assert s2[:2].tolist() == [1.0, 1e308 + 0.9]
+        assert np.all(np.isposinf(s2[2:]))
+
+    def test_explosive_beta_never_yields_a_finite_loglik(self):
+        # for beta > 1 dgtsv swaps rows; here its pivots underflow (info > 0)
+        # and its answer is finite, while the recursion overflows
+        r = ReturnSeries(np.random.default_rng(0).standard_normal(350))
+        p = GarchParams(omega=0.05, alpha=0.1, beta=10.0)
+        drive = np.concatenate(([1.0], p.omega + p.alpha * r.values[:-1] ** 2))
+        _, _, _, wrong, info = lapack.dgtsv(np.full(349, -10.0), np.ones(350), np.zeros(349), drive)
+        assert info > 0 and np.all(np.isfinite(wrong))
+        assert np.isposinf(garch_filter(p, r, sigma0_sq=1.0)[-1])
+        with pytest.raises(ValueError):
+            garch_loglik(p, r, sigma0_sq=1.0)
+
+    def test_explosive_beta_without_overflow_matches_direct_recursion(self):
+        r = ReturnSeries(np.random.default_rng(1).standard_normal(60))
+        p = GarchParams(omega=0.05, alpha=0.1, beta=1.5)
+        s2 = garch_filter(p, r, sigma0_sq=1.0)
+        np.testing.assert_allclose(s2, _direct_path(p, r.values, 1.0), rtol=1e-12)
+        assert np.isfinite(garch_loglik(p, r, sigma0_sq=1.0))
 
 
 SCORE_POINTS = [
