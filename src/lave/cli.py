@@ -3,12 +3,14 @@
 Subcommands: constants, calibrate, estimate, simulate, backtest, stats, acf,
 each listed once in _COMMANDS with its handler and help line. Every flag's
 default is stated once, in RunConfig: the parser leaves an omitted flag out
-of its namespace. Every output CSV starts with '#' comment lines that echo
-the parsed configuration as a flag string; parsing that string reproduces
-the same RunConfig, so a run is fully described by its own output header.
-The header always carries --seed: $LAVE_SEED only supplies its default.
-Exit codes: 0 success, 2 usage, 3 input data, 4 domain or numeric, 5
-nonconvergence.
+of its namespace, and a repeated flag's last value wins (--auto-M M stores
+--lam auto:M). simulate runs exactly the (gamma, M) thresholds that
+_resolve_lambda_table decides. Every output CSV starts with '#' lines that
+echo the parsed configuration as a flag string; parsing that string
+reproduces the same RunConfig, so a run is fully described by its own
+output header. The header always carries --seed: $LAVE_SEED only supplies
+its default. Exit codes: 0 success, 2 usage, 3 input data, 4 domain or
+numeric, 5 nonconvergence.
 """
 
 from __future__ import annotations
@@ -118,6 +120,11 @@ class RunConfig:
         return argv
 
 
+class _AutoM(argparse.Action):
+    def __call__(self, parser, namespace, value, option_string=None):
+        setattr(namespace, self.dest, f"auto:{value}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # a flag left out stays out of the namespace, so RunConfig supplies
     # every default
@@ -131,9 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "at 2000 replications, so about 0.1 of noise)",
     )
     common.add_argument(
-        "--auto-M",
-        dest="auto_M",
-        type=int,
+        "--auto-M", dest="lam", type=int, action=_AutoM, metavar="AUTO_M",
         help="shorthand for --lam auto:M (calibrate the threshold for length M)",
     )
     common.add_argument("--t0", type=int, help="first estimation time (default 2*m0)")
@@ -182,10 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def parse_config(argv) -> RunConfig:
-    given = vars(_build_parser().parse_args(argv))
-    if "auto_M" in given:
-        given["lam"] = f"auto:{given.pop('auto_M')}"
-    return RunConfig(**given)
+    return RunConfig(**vars(_build_parser().parse_args(argv)))
 
 
 def ingest_csv(path, kind: str = "auto") -> ReturnSeries:
@@ -328,25 +330,33 @@ def _estimator_config(cfg: RunConfig) -> tuple[EstimatorConfig, int]:
     return EstimatorConfig(cfg.gamma, cfg.m0, lam, t0=cfg.t0, max_len=cfg.max_len), m_label
 
 
-def _resolve_lambda_table(cfg: RunConfig, gammas) -> dict:
-    """Threshold per (gamma, M label) for the simulate experiment grid. An
-    explicit table that leaves out a gamma of the grid drops it, with a
-    warning."""
+def _resolve_lambda_table(cfg: RunConfig) -> dict:
+    """Threshold per (gamma, M label) of every configuration simulate runs,
+    in --gamma-grid order. A grid gamma with no --lambdas entry, or an entry
+    off the grid, is not run, with a warning."""
+    gammas = list(dict.fromkeys(_parse_gamma_grid(cfg.gamma_grid)))
     if cfg.lambdas in ("auto", "table"):
         return {(g, m): _threshold(cfg, g, cfg.lambdas, m) for g in gammas for m in (40, 80)}
-    table = {}
+    given = {}
     try:
         for entry in cfg.lambdas.split(";"):
             g, m, value = entry.split(":")
-            table[(float(g), int(m))] = float(value)
+            given[(float(g), int(m))] = float(value)
     except ValueError as exc:
         raise ValueError(
             f"--lambdas {cfg.lambdas!r} is not 'table', 'auto' or GAMMA:M:VALUE;... entries"
         ) from exc
+    table = {key: lam for g in gammas for key, lam in given.items() if key[0] == g}
+    if not table:
+        raise ValueError(f"--lambdas has no entry for any gamma of --gamma-grid {cfg.gamma_grid}")
     dropped = [str(g) for g in gammas if all(key[0] != g for key in table)]
     if dropped:
         log.warning("--lambdas has no entry for gamma=%s of --gamma-grid; they are not run",
                     ",".join(dropped))
+    off_grid = list(dict.fromkeys(str(key[0]) for key in given if key not in table))
+    if off_grid:
+        log.warning("--lambdas entries for gamma=%s are off --gamma-grid; they are not run",
+                    ",".join(off_grid))
     return table
 
 
@@ -428,11 +438,14 @@ def _cmd_simulate(cfg: RunConfig) -> Path:
     except ValueError as exc:
         raise ValueError(f"--curves-for {cfg.curves_for!r} is not GAMMA,M") from exc
     design = _parse_design(cfg.design, cfg.seed)
-    gammas = _parse_gamma_grid(cfg.gamma_grid)
-    lambdas = _resolve_lambda_table(cfg, gammas)
+    lambdas = _resolve_lambda_table(cfg)
+    if curves_key not in lambdas:
+        fallback = min(lambdas)
+        log.warning("--curves-for gamma=%s, M=%s was not computed; writing gamma=%s, M=%s",
+                    *curves_key, *fallback)
+        curves_key = fallback
     result = run_change_point_experiment(
         design,
-        gammas,
         lambdas,
         replications=cfg.replications or 500,
         seed=cfg.seed,
@@ -446,11 +459,6 @@ def _cmd_simulate(cfg: RunConfig) -> Path:
         cfg, "errors.csv", ["gamma", "lambda", "M_label", "error"], err_rows
     )
 
-    if curves_key not in result.curves:
-        fallback = min(result.curves)
-        log.warning("--curves-for gamma=%s, M=%s was not computed; writing gamma=%s, M=%s",
-                    *curves_key, *fallback)
-        curves_key = fallback
     curve = result.curves[curves_key]
     curve_rows = [
         [int(t), _fmt(float(st)), _fmt(float(med)), _fmt(float(q25)), _fmt(float(q75)),

@@ -369,7 +369,7 @@ def _scan_taus(
     max_len: int | None = None,
 ):
     """Vectorized replica of select_interval's decisions at a block of taus,
-    under each of the ascending thresholds lams at once.
+    under each of the thresholds lams at once, in any order.
 
     blocks : _block_sums of R series; taus : int64 array. Every
     (series, tau) pair is a row with its own candidate count
@@ -393,9 +393,9 @@ def _scan_taus(
     * root), so a split that rejects under the larger threshold rejects
     under the smaller one too: a row live under any threshold is live
     under the largest. The working set therefore holds a row while it is
-    live under lams[-1]; stopped rows stay in it, masked, until fewer than
-    half of its rows are live under lams[-1], and then it is compacted to
-    those rows.
+    live under the largest threshold; stopped rows stay in it, masked, until
+    fewer than half of its rows are live under it, and then it is compacted
+    to those rows.
 
     The degenerate flag is decided as the blocks are gathered: a row is
     degenerate exactly when one of the blocks 1..k is zero, k being the
@@ -425,19 +425,19 @@ def _scan_taus(
     live = np.ones((lams.size, n_rows), dtype=bool)
     rest, theta_test, v_test_sq = (np.empty((k_max, n_rows)) for _ in range(3))
     fewest = int(n_cand.min())  # every held row has candidates up to here
-    lam_list = lams.tolist()
+    lam_list, top = lams.tolist(), int(lams.argmax())
 
     for k in range(1, k_max + 1):
         if k > fewest:
             live &= n_cand >= k
-        n_live = np.count_nonzero(live[-1])
+        n_live = np.count_nonzero(live[top])
         if n_live == 0:
             break
         if 2 * n_live < rows.size:
             out_chosen[:, rows], out_theta[:, rows], out_degenerate[:, rows] = (
                 chosen, theta, degenerate
             )
-            keep = np.flatnonzero(live[-1])
+            keep = np.flatnonzero(live[top])
             rows, n_cand, at, test_sum = (a[keep] for a in (rows, n_cand, at, test_sum))
             chosen, theta, degenerate, live = (
                 a[:, keep] for a in (chosen, theta, degenerate, live)
@@ -507,16 +507,13 @@ def _scan_path(blocks: np.ndarray, n: int, config: EstimatorConfig, lams):
     (lams.size, R, taus.size) arrays theta and lens, entry i under lams[i];
     a degenerate window leaves a gap, NaN in theta and 0 in lens. The taus
     are scanned in blocks of at most _BLOCK_ELEMENTS working-set entries
-    (rows x candidates), so memory stays bounded in n. _scan_taus takes
-    the thresholds in ascending order; its results are written straight to
-    their places in the caller's order.
+    (rows x candidates), so memory stays bounded in n.
     """
     t0 = config.start_time
     if t0 > n:
         raise ValueError(f"t0={t0} exceeds series length {n}")
     s_gamma = moment_constants(config.gamma).s_gamma
     lams = np.asarray(lams, dtype=float)
-    order = np.argsort(lams, kind="stable")
     n_series = blocks.shape[0]
 
     taus = np.arange(t0, n + 1, dtype=np.int64)
@@ -527,10 +524,10 @@ def _scan_path(blocks: np.ndarray, n: int, config: EstimatorConfig, lams):
     for lo in range(0, taus.size, per_block):
         block = slice(lo, lo + per_block)
         chosen_len, theta_hat, degenerate = _scan_taus(
-            blocks, taus[block], config.m0, lams[order], s_gamma, config.max_len
+            blocks, taus[block], config.m0, lams, s_gamma, config.max_len
         )
         theta_hat[degenerate], chosen_len[degenerate] = np.nan, 0
-        theta[order, :, block], lens[order, :, block] = theta_hat, chosen_len
+        theta[:, :, block], lens[:, :, block] = theta_hat, chosen_len
     return taus, theta, lens
 
 

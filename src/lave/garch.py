@@ -105,10 +105,7 @@ def garch_filter(params: GarchParams, r: ReturnSeries, sigma0_sq: float) -> np.n
     """
     if not (sigma0_sq > 0.0):
         raise ValueError(f"sigma0_sq must be positive, got {sigma0_sq}")
-    values = r.values
-    if values.size == 1:
-        return np.array([float(sigma0_sq)])
-    return _variance_path(params, values**2, sigma0_sq)
+    return _variance_path(params, r.values**2, sigma0_sq)
 
 
 @functools.lru_cache(maxsize=8)
@@ -152,8 +149,8 @@ def _beta_recursion(beta: float, x: np.ndarray) -> np.ndarray:
 
 
 def _variance_path(params: GarchParams, r2: np.ndarray, sigma0_sq: float) -> np.ndarray:
-    # the recursion on squared returns r2, at least two of them, with the
-    # start sigma2_1 = sigma0_sq as its first drive
+    # the recursion on squared returns r2, one or more, with the start
+    # sigma2_1 = sigma0_sq as its first drive
     drive = np.empty(r2.size)
     drive[0] = sigma0_sq
     drive[1:] = params.omega + params.alpha * r2[:-1]

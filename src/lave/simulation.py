@@ -15,7 +15,7 @@ size needed for reliable detection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -222,7 +222,6 @@ def detection_delays(taus, lens, change_point: int, m0: int) -> np.ndarray:
 
 def run_change_point_experiment(
     design: ChangePointSpec,
-    gammas: Sequence[float],
     lambdas: Mapping,
     replications: int = 500,
     seed: int = 0,
@@ -231,16 +230,19 @@ def run_change_point_experiment(
 ) -> ExperimentResult:
     """Monte Carlo study of the scan on one change-point design.
 
-    lambdas maps (gamma, m_label) to a threshold value; every gamma in
-    gammas is run once per matching entry, one batch_estimate scan serving
-    all of that gamma's thresholds. All configurations share one
-    seeded set of Gaussian draws, so cells are comparable and the output
-    is reproducible from (design, seed) alone. Returns accumulated
-    relative errors plus per-time median/quartile curves of the estimate
-    and of the selected window length.
+    lambdas maps (gamma, m_label) to a threshold value. Every entry runs,
+    gammas in their order of first appearance and m_label ascending within
+    each, one batch_estimate scan serving all of a gamma's thresholds; an
+    empty lambdas raises ValueError. All configurations share one seeded
+    set of Gaussian draws, so cells are comparable and the output is
+    reproducible from (design, seed) alone. Returns accumulated relative
+    errors plus per-time median/quartile curves of the estimate and of the
+    selected window length.
     """
     if replications <= 0:
         raise ValueError("replications must be positive")
+    if not lambdas:
+        raise ValueError("lambdas must hold at least one (gamma, m_label) entry")
     sigma = design.sigma_path()
     n = sigma.size
     if not (1 <= t_start <= n):
@@ -250,10 +252,8 @@ def run_change_point_experiment(
 
     cells = []
     curves = {}
-    for gamma in gammas:
-        entries = [(m, float(lam)) for (g, m), lam in sorted(lambdas.items()) if g == gamma]
-        if not entries:
-            continue
+    for gamma in dict.fromkeys(g for g, _ in lambdas):
+        entries = [(int(m), float(lam)) for (g, m), lam in sorted(lambdas.items()) if g == gamma]
         # one scan of the draws serves every threshold of this gamma
         config = EstimatorConfig(gamma=gamma, m0=m0, lam=entries[0][1], t0=t_start)
         taus, sigma_hats, lens_all = batch_estimate(
@@ -266,11 +266,11 @@ def run_change_point_experiment(
         for (m_label, lam), sigma_hat, lens in zip(entries, sigma_hats, lens_all):
             err = float(np.sum(((sigma_hat - sigma[taus - 1]) / sigma[taus - 1]) ** 2))
             cells.append(
-                ExperimentCell(gamma=gamma, lam=lam, m_label=int(m_label), error=err)
+                ExperimentCell(gamma=gamma, lam=lam, m_label=m_label, error=err)
             )
             q25, med, q75 = np.percentile(sigma_hat, [25.0, 50.0, 75.0], axis=0)
             l25, lmed, l75 = np.percentile(lens, [25.0, 50.0, 75.0], axis=0)
-            curves[(gamma, int(m_label))] = CurveTable(
+            curves[(gamma, m_label)] = CurveTable(
                 taus=taus,
                 sigma_true=sigma[taus - 1],
                 sigma_median=med,
@@ -280,8 +280,6 @@ def run_change_point_experiment(
                 len_q25=l25,
                 len_q75=l75,
             )
-    if not cells:
-        raise ValueError("lambdas supplies no entry for any requested gamma")
     return ExperimentResult(
         design=design,
         replications=replications,

@@ -108,7 +108,7 @@ def test_04_error_orderings_across_power_and_window():
     print()
     for name, segments in (("3x jump", TWO_JUMP_3X), ("5x jump", TWO_JUMP_5X)):
         result = run_change_point_experiment(
-            ChangePointSpec(segments, seed=0), [0.5, 2.0], lambdas,
+            ChangePointSpec(segments, seed=0), lambdas,
             replications=500, seed=0, t_start=20,
         )
         for cell in result.cells:

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import lave
+import lave.cli as cli_mod
 import lave.garch as garch_mod
 from lave.cli import (
     DEFAULT_LAMBDA_TABLE,
@@ -170,6 +171,14 @@ class TestConfigParsing:
     def test_auto_m_shorthand(self):
         assert parse_config(["estimate", "--auto-M", "40"]).lam == "auto:40"
 
+    def test_lam_and_auto_m_last_flag_wins(self):
+        assert parse_config(["estimate", "--auto-M", "40", "--lam", "table:80"]).lam == "table:80"
+        assert parse_config(["estimate", "--lam", "table:80", "--auto-M", "40"]).lam == "auto:40"
+
+    def test_auto_m_needs_an_integer(self, capsys):
+        assert main(["estimate", "--auto-M", "x"]) == 2
+        assert "argument --auto-M: invalid int value: 'x'" in capsys.readouterr().err
+
     def test_seed_env_fallback(self, monkeypatch):
         monkeypatch.setenv("LAVE_SEED", "7")
         assert parse_config(["stats"]).seed == 7
@@ -298,6 +307,43 @@ class TestCommands:
         for name in ("errors.csv", "curves.csv"):
             assert read_output(tmp_path / "grid" / name) == read_output(tmp_path / "only" / name)
 
+    def test_simulate_names_entries_off_the_gamma_grid(self, tmp_path, caplog):
+        common = dict(
+            command="simulate", design="two-jump-3x", replications=5, gamma_grid="0.5",
+            deterministic=True,
+        )
+        on = RunConfig(lambdas="0.5:80:2.7", out_dir=str(tmp_path / "on"), **common)
+        assert dispatch(on) == 0
+        off = RunConfig(
+            lambdas="0.5:80:2.7;1.0:80:3.0;2.0:40:2.4", out_dir=str(tmp_path / "off"), **common
+        )
+        with caplog.at_level(logging.WARNING, logger="lave.cli"):
+            assert dispatch(off) == 0
+        assert "--lambdas entries for gamma=1.0,2.0 are off --gamma-grid" in caplog.text
+        for name in ("errors.csv", "curves.csv"):
+            assert read_output(tmp_path / "off" / name) == read_output(tmp_path / "on" / name)
+
+    def test_simulate_names_a_substituted_curve_before_the_study(
+        self, tmp_path, caplog, monkeypatch
+    ):
+        logged = []
+        study = cli_mod.run_change_point_experiment
+
+        def recording_study(*args, **kwargs):
+            logged.append(caplog.text)
+            return study(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "run_change_point_experiment", recording_study)
+        cfg = RunConfig(
+            command="simulate", design="two-jump-3x", replications=5,
+            lambdas="2.0:80:3.18;0.5:40:2.4", curves_for="1.0,80",
+            out_dir=str(tmp_path), deterministic=True,
+        )
+        with caplog.at_level(logging.WARNING, logger="lave.cli"):
+            assert dispatch(cfg) == 0
+        assert len(logged) == 1
+        assert "--curves-for gamma=1.0, M=80 was not computed; writing gamma=0.5, M=40" in logged[0]
+
     def test_backtest_outputs(self, tmp_path):
         f = tmp_path / "returns.csv"
         write_returns(f, np.random.default_rng(2).standard_normal(160))
@@ -401,6 +447,14 @@ class TestExitCodes:
         assert main(argv) == 4
         assert "--curves-for" in capsys.readouterr().err
         assert not (tmp_path / "errors.csv").exists()
+
+    def test_table_with_no_grid_gamma_exits_four_before_the_study(self, tmp_path, capsys):
+        argv = ["simulate", "--design", "two-jump-3x", "--reps", "5", "--gamma-grid", "0.5",
+                "--lambdas", "1.0:80:3.0;2.0:40:2.4", "--out-dir", str(tmp_path), "--deterministic"]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "lave-error code=4" in err and "--lambdas" in err and "--gamma-grid" in err
+        assert not any(tmp_path.iterdir())
 
     def test_malformed_lambdas_exits_four_before_the_study(self, tmp_path, capsys):
         argv = ["simulate", "--design", "two-jump-3x", "--reps", "5", "--lambdas", "0.5:80",

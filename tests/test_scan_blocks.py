@@ -11,8 +11,8 @@ once fewer than half of them are live. Rows that drop out at staggered
 candidates, a zero block first reached after a compaction, and blocks
 whose rows have different candidate counts pin that path to the reference.
 
-Several thresholds share one scan: the working set holds a row while it is
-live under the largest. Each threshold's results must equal a scan under
+Several thresholds, in any order, share one scan: the working set holds a
+row while it is live under the largest. Each threshold's results must equal a scan under
 that threshold alone bit for bit, also where the set compacts while a
 smaller threshold has already stopped many of the rows it keeps, and the
 change-point experiment, which scans each gamma once for all of its
@@ -28,7 +28,9 @@ from lave.errors import DegenerateWindowError
 from lave.estimator import (
     _BLOCK_ELEMENTS,
     EstimatorConfig,
+    _block_sums,
     _scan_at_tau,
+    _scan_taus,
     batch_estimate,
     estimate_path,
     select_interval,
@@ -271,6 +273,34 @@ def test_thresholds_scanned_together_match_one_scan_each_through_compactions():
     assert np.count_nonzero(lens[1, :, -1] == 0) < zero_rows.size
 
 
+@pytest.mark.parametrize("lams", [(2.4, 0.6, 0.9), (0.6, 2.4, 0.9)])
+def test_scan_taus_takes_the_largest_threshold_anywhere_in_lams(lams):
+    rows, n, m0 = 120, 90, 3
+    rng = np.random.default_rng(9)
+    jumps = np.linspace(n - 3 * m0, 4 * m0, rows).astype(int)
+    sigma = np.where(np.arange(n) >= jumps[:, None], 6.0, 1.0)
+    returns = sigma * rng.uniform(0.5, 1.5, (rows, n)) * rng.choice([-1.0, 1.0], (rows, n))
+    y = np.abs(returns) ** 0.5
+    s_gamma = power_constants(0.5).s_gamma
+
+    stops = {}
+    for lam in lams:
+        chosen, _, rejected, _ = _scan_at_tau(y, n, m0, lam, s_gamma)
+        stops[lam] = np.where(rejected > 0, rejected, chosen) // m0
+    compacted_at = compactions(stops[max(lams)])
+    assert compacted_at
+    # the compacted set keeps rows that a smaller threshold has stopped
+    assert any(np.count_nonzero((stops[max(lams)] >= k) & (stops[lam] < k))
+               for k in compacted_at for lam in lams)
+
+    blocks, taus = _block_sums(y, m0), np.array([n])
+    together = _scan_taus(blocks, taus, m0, np.array(lams), s_gamma)
+    for i, lam in enumerate(lams):
+        one = _scan_taus(blocks, taus, m0, np.array([lam]), s_gamma)
+        for shared, alone in zip(together, one):
+            assert_same_bits(shared[i], alone[0])
+
+
 def test_two_threshold_wide_batch_runs_in_bounded_memory():
     rows = 2000
     sigma = np.repeat([1.0, 3.0, 1.0], 80)  # the two-jump-3x design
@@ -291,13 +321,13 @@ def test_experiment_scans_each_gamma_once_and_matches_one_run_per_threshold():
     # gamma 0.5: three thresholds, unsorted by M label, one value twice
     lambdas = {(0.5, 80): 2.8, (0.5, 40): 2.4, (0.5, 60): 2.4, (2.0, 40): 2.41, (2.0, 80): 2.9}
     gammas = [0.5, 2.0]
-    together = run_change_point_experiment(design, gammas, lambdas, replications=150, seed=3)
+    together = run_change_point_experiment(design, lambdas, replications=150, seed=3)
     cells, curves = [], {}
     for gamma in gammas:
         for key, lam in sorted(lambdas.items()):
             if key[0] != gamma:
                 continue
-            one = run_change_point_experiment(design, [gamma], {key: lam}, replications=150, seed=3)
+            one = run_change_point_experiment(design, {key: lam}, replications=150, seed=3)
             cells.extend(one.cells)
             curves.update(one.curves)
     assert together.cells == tuple(cells)

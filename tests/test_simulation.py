@@ -215,7 +215,7 @@ class TestDetectionDelays:
 def _small_experiment():
     design = ChangePointSpec(segments=TWO_JUMP_3X, seed=0)
     return run_change_point_experiment(
-        design, [0.5], {(0.5, 80): 2.74}, replications=100, seed=0, t_start=20
+        design, {(0.5, 80): 2.74}, replications=100, seed=0, t_start=20
     )
 
 
@@ -263,18 +263,24 @@ class TestExperimentHarness:
             (1.0, 40): 2.24, (1.0, 80): 2.58,
             (2.0, 40): 1.86, (2.0, 80): 2.18,
         }
-        res = run_change_point_experiment(
-            design, [0.5, 1.0, 2.0], lambdas, replications=30, seed=0
-        )
+        res = run_change_point_experiment(design, lambdas, replications=30, seed=0)
         assert len(res.cells) == 6
         assert set(res.curves) == set(lambdas)
+
+    def test_gammas_run_in_order_of_first_appearance(self):
+        design = ChangePointSpec(segments=TWO_JUMP_3X)
+        lambdas = {(2.0, 80): 3.18, (0.5, 80): 2.74, (2.0, 40): 2.41}
+        res = run_change_point_experiment(design, lambdas, replications=10, seed=0)
+        order = [(2.0, 40), (2.0, 80), (0.5, 80)]
+        assert [(cell.gamma, cell.m_label) for cell in res.cells] == order
+        assert list(res.curves) == order
 
     def test_no_matching_lambdas(self):
         design = ChangePointSpec(segments=TWO_JUMP_3X)
         with pytest.raises(ValueError):
-            run_change_point_experiment(design, [0.75], {(0.5, 80): 2.74}, replications=10)
+            run_change_point_experiment(design, {}, replications=10)
 
     def test_replication_validation(self):
         design = ChangePointSpec(segments=TWO_JUMP_3X)
         with pytest.raises(ValueError):
-            run_change_point_experiment(design, [0.5], {(0.5, 80): 2.74}, replications=0)
+            run_change_point_experiment(design, {(0.5, 80): 2.74}, replications=0)
