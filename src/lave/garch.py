@@ -21,7 +21,10 @@ same recursion driven by d sigma2_{t-1}. From a neighbouring window's
 optimum it converges in about three steps whatever the data. The two
 searches do not always end at the same maximum when the likelihood has
 several. From the default start a local search can take a different local
-maximum than the simplex, so cold fits keep the simplex. A warm refit
+maximum than the simplex, so cold fits keep the simplex. It is written out
+here (_nelder_mead) and takes the steps of scipy's Nelder-Mead one for one,
+so a cold fit equals scipy's bit for bit without importing scipy.optimize,
+and no longer depends on the scipy version. A warm refit
 that starts with persistence at its cap, a local maximum flat in the logit
 of persistence, stays there; the simplex sometimes stepped off it to a
 higher interior maximum.
@@ -34,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 from scipy.linalg import lapack
 
 from .errors import GarchConvergenceError
@@ -292,18 +295,127 @@ def _newton_fit(z: np.ndarray, r2: np.ndarray, sigma0_sq: float) -> GarchParams:
     )
 
 
+# Nelder-Mead moves: reflection, expansion, contraction and shrink
+# coefficients, and the relative and zero-coordinate steps of the first
+# simplex, as in scipy's non-adaptive method
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
+
+# _nelder_mead's status 1 and 2, worded as scipy words them
+_BUDGET_MESSAGES = {
+    1: "Maximum number of function evaluations has been exceeded.",
+    2: "Maximum number of iterations has been exceeded.",
+}
+
+
+class _BudgetExhausted(Exception):
+    pass
+
+
+def _nelder_mead(func, x0, xatol, fatol, maxiter, maxfev):
+    """Minimize func from x0 by the Nelder-Mead simplex.
+
+    Takes the steps of scipy.optimize.minimize(method="Nelder-Mead") with no
+    bounds, no initial simplex and adaptive off, one for one and with its
+    arithmetic in the same order, so x and fun equal scipy's bit for bit.
+    That includes an exhausted budget: a call past maxfev abandons the
+    iteration, the simplex is re-sorted, and the iteration is not counted.
+    func must leave its argument unchanged. Returns (x, fun, status) with
+    status 0 on convergence, 1 when maxfev ran out, 2 when maxiter did.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.size
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        y = x0.copy()
+        y[k] = (1 + _NONZDELT) * y[k] if y[k] != 0 else _ZDELT
+        sim[k + 1] = y
+    fsim = np.full(n + 1, np.inf)
+    calls = 0
+
+    def f(x):
+        nonlocal calls
+        if calls >= maxfev:
+            raise _BudgetExhausted
+        calls += 1
+        return func(x)
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = f(sim[k])
+    except _BudgetExhausted:
+        pass
+    # sorted twice, as scipy does: argsort need not keep tied values in place
+    for _ in range(2):
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    iterations = 1
+    while calls < maxfev and iterations < maxiter:
+        try:
+            if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+                break
+            xbar = sim[:-1].sum(axis=0) / n
+            xr = (1 + _RHO) * xbar - _RHO * sim[-1]
+            fxr = f(xr)
+            if fxr < fsim[0]:
+                xe = (1 + _RHO * _CHI) * xbar - _RHO * _CHI * sim[-1]
+                fxe = f(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:  # outside contraction, kept if no worse than xr
+                    xc = (1 + _PSI * _RHO) * xbar - _PSI * _RHO * sim[-1]
+                    fxc = f(xc)
+                    keep = fxc <= fxr
+                else:  # inside contraction, kept if better than the worst vertex
+                    xc = (1 - _PSI) * xbar + _PSI * sim[-1]
+                    fxc = f(xc)
+                    keep = fxc < fsim[-1]
+                if keep:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:  # shrink toward the best vertex
+                    for j in range(1, n + 1):
+                        sim[j] = sim[0] + _SIGMA * (sim[j] - sim[0])
+                        fsim[j] = f(sim[j])
+            iterations += 1
+        except _BudgetExhausted:
+            pass
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+
+    if calls >= maxfev:
+        status = 1
+    elif iterations >= maxiter:
+        status = 2
+    else:
+        status = 0
+    return sim[0], np.min(fsim), status
+
+
 def garch_fit(r: ReturnSeries, init: GarchParams | None = None) -> GarchParams:
     """Maximum-likelihood fit of the variance recursion.
 
     Searches the reparameterized (log scale, logit persistence, logit
     split) domain; deterministic given the data and the starting point.
     Without init the search is a Nelder-Mead simplex from omega = 0.1 *
-    sample variance, alpha = 0.1, beta = 0.8. With init it is Newton's
+    sample variance, alpha = 0.1, beta = 0.8, written out in this module
+    and equal to scipy's step for step (_nelder_mead), so the fit does not
+    depend on the scipy version. With init it is Newton's
     method on the exact Hessian, started at init; it has converged at a
     gradient below 1e-8 in every coordinate, or below 1e-4 where the line
     search finds no further decrease. The first variance is pinned to the
     sample variance of the window. Raises GarchConvergenceError with the
-    best parameters seen when the search does not converge.
+    best parameters seen when the search does not converge; after a cold
+    fit its message names the budget that ran out.
     """
     values = r.values
     if values.size < 50:
@@ -320,18 +432,20 @@ def garch_fit(r: ReturnSeries, init: GarchParams | None = None) -> GarchParams:
         except ValueError:  # non-finite: retreat instead of erroring mid-search
             return 1e12
 
-    result = optimize.minimize(
+    x, fun, status = _nelder_mead(
         objective,
         _pack(GarchParams(omega=0.1 * sigma0_sq, alpha=0.1, beta=0.8)),
-        method="Nelder-Mead",
-        options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 4000, "maxfev": 8000},
+        xatol=1e-8,
+        fatol=1e-10,
+        maxiter=4000,
+        maxfev=8000,
     )
-    best = _unpack(result.x)
-    if not result.success:
+    best = _unpack(x)
+    if status:
         raise GarchConvergenceError(
-            f"fit did not converge within the iteration budget: {result.message}",
+            f"fit did not converge within the iteration budget: {_BUDGET_MESSAGES[status]}",
             best_params=best,
-            best_loglik=-float(result.fun),
+            best_loglik=-float(fun),
         )
     return best
 

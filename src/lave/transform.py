@@ -26,7 +26,7 @@ import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize, special
+from scipy import special
 
 from .series import PowerParams, ReturnSeries, TransformedSeries
 
@@ -197,7 +197,12 @@ def compute_a_gamma(params: PowerParams) -> float:
     right edge (the ratio is monotone increasing toward a finite limit at
     gamma = 1), and refines an interior maximum by golden-section search.
     The u -> 0+ limit equals 1, so the result is never below 1.
+    scipy.optimize is imported here, on first use, because only `lave
+    constants` and power_constants(gamma <= 1) need it, and importing it with
+    this module would add about 0.3 s to every command's start-up.
     """
+    from scipy import optimize
+
     if params.gamma > 1.0:
         raise ValueError("a_gamma is defined only for gamma <= 1")
 

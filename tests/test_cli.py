@@ -519,6 +519,31 @@ class TestStartup:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
 
+    def test_import_and_runs_load_no_scipy_optimize(self, tmp_path):
+        # a fresh interpreter: scipy.optimize is about 0.3 s of start-up; the
+        # cold GARCH fit has its own simplex, and only a_gamma imports it
+        src = str(Path(lave.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = str(tmp_path)
+        code = f"""
+import sys, lave.cli
+loaded = ["import"] if "scipy.optimize" in sys.modules else []
+for argv in (
+    ["estimate", "--design", "two-jump-3x", "--lam", "table:80"],
+    ["simulate", "--design", "two-jump-3x", "--replications", "20"],
+    ["backtest", "--design", "two-jump-3x", "--lam", "table:80", "--garch-window", "100"],
+):
+    assert lave.cli.main([*argv, "--out-dir", {out!r}, "--deterministic"]) == 0
+    loaded += [argv[0]] if "scipy.optimize" in sys.modules else []
+from lave.transform import power_constants
+print(loaded, repr(power_constants(0.5).a_gamma))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[] 1.0045849424076858"
+
 
 class TestLogging:
     def test_backtest_warns_once_with_the_fallback_count(self, tmp_path, caplog, monkeypatch):

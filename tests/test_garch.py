@@ -16,6 +16,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 from scipy.linalg import lapack
 
 import lave.garch as garch_mod
@@ -29,6 +30,7 @@ from lave.garch import (
     rolling_forecast,
 )
 from lave.series import ReturnSeries
+from lave.simulation import ChangePointSpec, generate_change_point_series
 
 TRUE = GarchParams(omega=0.05, alpha=0.10, beta=0.85)
 
@@ -524,3 +526,146 @@ class TestWarmFits:
         else:
             assert isinstance(fitted, GarchParams)
             assert np.max(np.abs(garch_mod._pack(fitted) - z0)) <= radius
+
+
+def _cold_problem(monkeypatch, values):
+    # the objective, start and options garch_fit hands its simplex, and the fit
+    seen = []
+    real = garch_mod._nelder_mead
+
+    def recording(func, x0, **options):
+        seen.append((func, x0, options))
+        return real(func, x0, **options)
+
+    with monkeypatch.context() as m:
+        m.setattr(garch_mod, "_nelder_mead", recording)
+        fitted = garch_fit(ReturnSeries(values))
+    (func, x0, options), = seen
+    return func, x0, options, fitted
+
+
+def _walled(func, x0, radius):
+    # the objective behind a wall of the 1e12 retreat at radius from x0
+    return lambda z: 1e12 if np.max(np.abs(z - x0)) > radius else func(z)
+
+
+def _assert_scipy_steps(func, x0, **options):
+    # _nelder_mead against scipy's Nelder-Mead, bit for bit; returns scipy's result
+    ref = optimize.minimize(func, x0, method="Nelder-Mead", options=options)
+    x, fun, status = garch_mod._nelder_mead(func, x0, **options)
+    assert x.tobytes() == ref.x.tobytes()
+    assert np.float64(fun).tobytes() == np.float64(ref.fun).tobytes()
+    assert (status == 0) == ref.success
+    assert status == ref.status
+    if status:
+        assert garch_mod._BUDGET_MESSAGES[status] == ref.message
+    return ref
+
+
+_ALTERNATING = tuple((60, 1.0) if i % 2 == 0 else (60, 3.0) for i in range(10))
+
+
+def _window(kind: str, seed: int) -> np.ndarray:
+    if kind == "benchmark":
+        return _benchmark_returns(seed)[:350]
+    if kind == "break":  # gate 09's 1x/3x break series
+        r, _ = generate_change_point_series(ChangePointSpec(_ALTERNATING, seed=seed))
+        return r.values[:350]
+    rng = np.random.default_rng([seed, 5])  # a short random window
+    return rng.uniform(0.2, 3.0) * rng.standard_normal(int(rng.integers(50, 200)))
+
+
+class TestNelderMead:
+    """The cold fit's simplex equals scipy.optimize.minimize(method="Nelder-Mead")
+    step for step: same x, fun and success, also when a budget runs out."""
+
+    @pytest.mark.parametrize(
+        "kind, seed",
+        [("benchmark", s) for s in range(8)]
+        + [("short", s) for s in range(6)]
+        + [("break", s) for s in range(3)],
+    )
+    def test_cold_fit_equals_scipy(self, monkeypatch, kind, seed):
+        func, x0, options, fitted = _cold_problem(monkeypatch, _window(kind, seed))
+        assert options == {"xatol": 1e-8, "fatol": 1e-10, "maxiter": 4000, "maxfev": 8000}
+        ref = _assert_scipy_steps(func, x0, **options)
+        assert ref.success
+        assert fitted == garch_mod._unpack(ref.x)
+
+    @pytest.mark.parametrize("radius", [0.02, 0.05, 0.1])
+    def test_retreat_wall_equals_scipy(self, monkeypatch, radius):
+        # vertices that meet the wall tie at 1e12, so the sorts must match too
+        func, x0, options, _ = _cold_problem(monkeypatch, _window("benchmark", 3))
+        walled = _walled(func, x0, radius)
+        assert walled(x0 + 2.0 * radius) == 1e12
+        _assert_scipy_steps(walled, x0, **options)
+
+    @pytest.mark.parametrize("maxfev", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 25, 60])
+    def test_exhausted_evaluations_equal_scipy(self, monkeypatch, maxfev):
+        # below 4 the budget ends among the first simplex's evaluations; the
+        # walled search's first shrink makes evaluations 7 to 9, so 6, 7 and 8
+        # end inside it; either way a vertex is left that was never evaluated
+        func, x0, _, _ = _cold_problem(monkeypatch, _window("benchmark", 3))
+        walled = _walled(func, x0, 0.02)
+        evaluated = []
+
+        def recording(z):
+            evaluated.append(z.copy())
+            return walled(z)
+
+        ref = _assert_scipy_steps(
+            recording, x0, xatol=1e-8, fatol=1e-10, maxiter=4000, maxfev=maxfev
+        )
+        assert ref.status == 1 and ref.nfev == maxfev
+        unevaluated = [
+            not any(np.array_equal(v, z) for z in evaluated) for v in ref.final_simplex[0]
+        ]
+        assert any(unevaluated) == (maxfev in (1, 2, 3, 6, 7, 8))
+
+    @pytest.mark.parametrize("maxfev", [180, 181])
+    def test_exhausted_inside_a_shrink_that_finds_a_new_best(self, monkeypatch, maxfev):
+        # on benchmark window 5 a shrink makes evaluations 180 to 182 and its
+        # first moved vertices fall below the best one; the budget ends before
+        # the shrink does, so only the re-sort puts the new best first
+        func, x0, _, _ = _cold_problem(monkeypatch, _window("benchmark", 5))
+        evaluated = []
+
+        def recording(z):
+            evaluated.append(z.copy())
+            return func(z)
+
+        ref = _assert_scipy_steps(
+            recording, x0, xatol=1e-8, fatol=1e-10, maxiter=4000, maxfev=maxfev
+        )
+        assert ref.status == 1
+        assert any(np.array_equal(ref.x, z) for z in evaluated[179:maxfev])
+
+    @pytest.mark.parametrize("maxiter", [1, 2, 3, 5, 20, 100])
+    def test_exhausted_iterations_equal_scipy(self, monkeypatch, maxiter):
+        func, x0, _, _ = _cold_problem(monkeypatch, _window("benchmark", 0))
+        ref = _assert_scipy_steps(func, x0, xatol=1e-8, fatol=1e-10, maxiter=maxiter, maxfev=8000)
+        assert ref.status == 2
+
+    @pytest.mark.parametrize(
+        "budget, status, message",
+        [
+            ({"maxfev": 30}, 1, "Maximum number of function evaluations has been exceeded."),
+            ({"maxiter": 12}, 2, "Maximum number of iterations has been exceeded."),
+        ],
+    )
+    def test_exhausted_cold_fit_names_its_budget(self, monkeypatch, budget, status, message):
+        real = garch_mod._nelder_mead
+        ends = []
+
+        def capped(func, x0, **options):
+            ends.append(real(func, x0, **{**options, **budget}))
+            return ends[-1]
+
+        monkeypatch.setattr(garch_mod, "_nelder_mead", capped)
+        with pytest.raises(GarchConvergenceError) as info:
+            garch_fit(ReturnSeries(_window("benchmark", 0)))
+        (x, fun, ended), = ends
+        assert ended == status
+        assert str(info.value) == f"fit did not converge within the iteration budget: {message}"
+        assert info.value.best_params == garch_mod._unpack(x)
+        assert info.value.best_loglik == -float(fun)
