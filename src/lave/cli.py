@@ -4,13 +4,15 @@ Subcommands: constants, calibrate, estimate, simulate, backtest, stats, acf,
 each listed once in _COMMANDS with its handler and help line. Every flag's
 default is stated once, in RunConfig: the parser leaves an omitted flag out
 of its namespace, and a repeated flag's last value wins (--auto-M M stores
---lam auto:M). simulate runs exactly the (gamma, M) thresholds that
-_resolve_lambda_table decides. Every output CSV starts with '#' lines that
-echo the parsed configuration as a flag string; parsing that string
-reproduces the same RunConfig, so a run is fully described by its own
-output header. The header always carries --seed: $LAVE_SEED only supplies
-its default. Exit codes: 0 success, 2 usage, 3 input data, 4 domain or
-numeric, 5 nonconvergence.
+--lam auto:M). The one per-command default is --replications, left None in
+RunConfig: 500 for simulate, 2000 for calibrate. simulate runs exactly the
+(gamma, M) thresholds that _resolve_lambda_table decides. Every output CSV
+starts with '#' lines that echo the parsed configuration as a shell-quoted
+flag string (shlex.join); parsing its shlex.split reproduces the same
+RunConfig, so a run is fully described by its own output header. The
+header always carries --seed: $LAVE_SEED only supplies its default. Every
+CSV cell is formatted in _write_csv. Exit codes: 0 success, 2 usage,
+3 input data, 4 domain or numeric, 5 nonconvergence.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import argparse
 import csv
 import logging
 import os
+import shlex
 import sys
 import time
 from dataclasses import dataclass, field, fields
@@ -64,8 +67,11 @@ DESIGN_PRESETS = {
     "alternating-3x": tuple((60, 1.0) if i % 2 == 0 else (60, 3.0) for i in range(10)),
 }
 
-_RETURN_HEADERS = {"return", "returns", "ret", "log_return", "log_returns"}
-_PRICE_HEADERS = {"price", "prices", "close", "level"}
+# header name -> the kind of series its column holds
+_VALUE_HEADERS = {
+    **dict.fromkeys(("return", "returns", "ret", "log_return", "log_returns"), "returns"),
+    **dict.fromkeys(("price", "prices", "close", "level"), "prices"),
+}
 _DATE_HEADERS = {"date", "time", "timestamp", "day"}
 
 
@@ -190,6 +196,14 @@ def parse_config(argv) -> RunConfig:
     return RunConfig(**vars(_build_parser().parse_args(argv)))
 
 
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
+
+
 def ingest_csv(path, kind: str = "auto") -> ReturnSeries:
     """Read a return or price series from a CSV file.
 
@@ -198,10 +212,11 @@ def ingest_csv(path, kind: str = "auto") -> ReturnSeries:
     is treated as returns unless a '# prices' comment or kind='prices' says
     otherwise. Rows whose selected cell is empty or non-numeric are dropped
     and counted in a logged warning. Prices are converted to log returns.
+    A leading UTF-8 byte-order mark is skipped.
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise InputDataError(f"cannot read {path}: {exc}") from exc
 
@@ -209,63 +224,36 @@ def ingest_csv(path, kind: str = "auto") -> ReturnSeries:
     rows = []
     for line in text.splitlines():
         stripped = line.strip()
-        if not stripped:
-            continue
         if stripped.startswith("#"):
             directive = stripped.lstrip("#").strip().lower()
             if directive in ("returns", "prices"):
                 comment_kind = directive
-            continue
-        rows.append(next(csv.reader([line])))
+        elif stripped:
+            rows.append(next(csv.reader([line])))
     if not rows:
         raise InputDataError(f"{path} has no data rows")
 
     header = [cell.strip().lower() for cell in rows[0]]
-    col = None
-    header_kind = None
-    has_header = False
-    for i, name in enumerate(header):
-        if name in _RETURN_HEADERS:
-            col, header_kind, has_header = i, "returns", True
-            break
-        if name in _PRICE_HEADERS:
-            col, header_kind, has_header = i, "prices", True
-            break
-    if col is None and any(name in _DATE_HEADERS for name in header):
+    named = [(i, _VALUE_HEADERS[name]) for i, name in enumerate(header) if name in _VALUE_HEADERS]
+    if named:
+        (col, header_kind), data_rows = named[0], rows[1:]
+    elif any(name in _DATE_HEADERS for name in header) or not _is_number(rows[0][-1]):
         raise InputDataError(f"{path}: no recognizable price or return column")
-    if col is None:
-        # headerless: last column is the value, any leading column is a date
-        def numeric(cell):
-            try:
-                float(cell)
-                return True
-            except ValueError:
-                return False
+    else:
+        # headerless: the last column is the value, any leading column a date
+        col, header_kind, data_rows = len(rows[0]) - 1, None, rows
 
-        col = len(rows[0]) - 1
-        has_header = not numeric(rows[0][col])
-        if has_header:
-            raise InputDataError(f"{path}: no recognizable price or return column")
-
-    data_rows = rows[1:] if has_header else rows
-    values = []
-    dropped = 0
-    for row in data_rows:
-        cell = row[col].strip() if col < len(row) else ""
-        try:
-            values.append(float(cell))
-        except ValueError:
-            dropped += 1
-    if dropped:
-        log.warning("dropped %d non-numeric rows from %s", dropped, path)
+    cells = [row[col].strip() if col < len(row) else "" for row in data_rows]
+    values = [float(cell) for cell in cells if _is_number(cell)]
+    if len(values) < len(cells):
+        log.warning("dropped %d non-numeric rows from %s", len(cells) - len(values), path)
     # explicit kind wins, then a comment directive, then the header
     resolved = kind if kind != "auto" else (comment_kind or header_kind or "returns")
-    if resolved == "prices":
-        if len(values) < 2:
-            raise InputDataError(f"{path}: need at least 2 usable price rows")
-        return log_returns(values, origin_label=path.name)
     if len(values) < 2:
-        raise InputDataError(f"{path}: need at least 2 usable rows")
+        usable = "price rows" if resolved == "prices" else "rows"
+        raise InputDataError(f"{path}: need at least 2 usable {usable}")
+    if resolved == "prices":
+        return log_returns(values, origin_label=path.name)
     return ReturnSeries(values, origin_label=path.name)
 
 
@@ -361,13 +349,14 @@ def _resolve_lambda_table(cfg: RunConfig) -> dict:
 
 
 def _header_lines(cfg: RunConfig) -> list[str]:
-    lines = ["config: " + " ".join(cfg.to_argv())]
+    lines = ["config: " + shlex.join(cfg.to_argv())]
     if not cfg.deterministic:
         lines.append("generated: " + time.strftime("%Y-%m-%dT%H:%M:%S"))
     return lines
 
 
 def _write_csv(cfg: RunConfig, name: str, columns, rows) -> Path:
+    """Write rows under the config header, every cell formatted by _fmt."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / name
@@ -376,11 +365,12 @@ def _write_csv(cfg: RunConfig, name: str, columns, rows) -> Path:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)
         writer.writerow(columns)
-        writer.writerows(rows)
+        writer.writerows(map(_fmt, row) for row in rows)
     return path
 
 
 def _fmt(x) -> str:
+    """A float (np.float64 too) rounded to 12 digits; anything else by str."""
     if isinstance(x, float):
         return repr(round(float(x), 12))
     return str(x)
@@ -399,17 +389,15 @@ def _cmd_constants(cfg: RunConfig) -> Path:
     rows = []
     for g in _parse_gamma_grid(cfg.gamma_grid):
         p = power_constants(g)
-        a = _fmt(p.a_gamma) if p.a_gamma is not None else ""
-        rows.append([_fmt(g), _fmt(p.c_gamma), _fmt(p.d_gamma**2), _fmt(p.s_gamma), a])
+        a = "" if p.a_gamma is None else p.a_gamma
+        rows.append([g, p.c_gamma, p.d_gamma**2, p.s_gamma, a])
     return _write_csv(cfg, "constants.csv", ["gamma", "c", "d_squared", "s", "a"], rows)
 
 
 def _cmd_calibrate(cfg: RunConfig) -> Path:
     res = _calibrate(cfg, cfg.gamma, cfg.m_ref, cfg.replications)
-    row = [
-        _fmt(cfg.gamma), cfg.m_ref, cfg.m0, _fmt(cfg.alpha),
-        _fmt(res.lam), _fmt(res.achieved_rate), res.replications, _fmt(res.ci_halfwidth),
-    ]
+    row = [cfg.gamma, cfg.m_ref, cfg.m0, cfg.alpha,
+           res.lam, res.achieved_rate, res.replications, res.ci_halfwidth]
     return _write_csv(
         cfg,
         "calibrate.csv",
@@ -422,10 +410,7 @@ def _cmd_estimate(cfg: RunConfig) -> Path:
     r = _require_input(cfg)
     config, _ = _estimator_config(cfg)
     path = estimate_path(r, config)
-    rows = [
-        [int(t), _fmt(float(s)), int(m)]
-        for t, s, m in zip(path.taus, path.sigma_hat, path.interval_len)
-    ]
+    rows = zip(path.taus, path.sigma_hat, path.interval_len)
     return _write_csv(cfg, "estimate.csv", ["t", "sigma_hat", "interval_len"], rows)
 
 
@@ -452,22 +437,16 @@ def _cmd_simulate(cfg: RunConfig) -> Path:
         t_start=cfg.t_start,
         m0=cfg.m0,
     )
-    err_rows = [
-        [_fmt(c.gamma), _fmt(c.lam), c.m_label, _fmt(c.error)] for c in result.cells
-    ]
+    err_rows = [[c.gamma, c.lam, c.m_label, c.error] for c in result.cells]
     errors_path = _write_csv(
         cfg, "errors.csv", ["gamma", "lambda", "M_label", "error"], err_rows
     )
 
     curve = result.curves[curves_key]
-    curve_rows = [
-        [int(t), _fmt(float(st)), _fmt(float(med)), _fmt(float(q25)), _fmt(float(q75)),
-         _fmt(float(lm)), _fmt(float(l25)), _fmt(float(l75))]
-        for t, st, med, q25, q75, lm, l25, l75 in zip(
-            curve.taus, curve.sigma_true, curve.sigma_median, curve.sigma_q25,
-            curve.sigma_q75, curve.len_median, curve.len_q25, curve.len_q75,
-        )
-    ]
+    curve_rows = zip(
+        curve.taus, curve.sigma_true, curve.sigma_median, curve.sigma_q25,
+        curve.sigma_q75, curve.len_median, curve.len_q25, curve.len_q75,
+    )
     _write_csv(
         cfg,
         "curves.csv",
@@ -490,14 +469,10 @@ def _cmd_backtest(cfg: RunConfig) -> Path:
         cfg,
         "comparison.csv",
         ["label", "gamma", "M_label", "ratio", "lave_score", "garch_score", "t0", "p"],
-        [[label, _fmt(cfg.gamma), m_label, _fmt(comparison.ratio),
-          _fmt(comparison.lave_score), _fmt(comparison.garch_score),
-          comparison.t0, _fmt(comparison.p)]],
+        [[label, cfg.gamma, m_label, comparison.ratio, comparison.lave_score,
+          comparison.garch_score, comparison.t0, comparison.p]],
     )
-    rows = [
-        [t, _fmt(lave), _fmt(garch), _fmt(float(r.values[t] ** 2))]
-        for t, lave, garch in comparison.forecasts
-    ]
+    rows = [(t, lave, garch, r.values[t] ** 2) for t, lave, garch in comparison.forecasts]
     return _write_csv(
         cfg, "forecasts.csv", ["t", "lave_sigma_sq", "garch_sigma_sq", "r_sq_next"], rows
     )
@@ -511,17 +486,14 @@ def _cmd_stats(cfg: RunConfig) -> Path:
         cfg,
         "stats.csv",
         ["label", "n", "mean", "variance", "skewness", "kurtosis"],
-        [[label, s.n, _fmt(s.mean), _fmt(s.variance), _fmt(s.skewness), _fmt(s.kurtosis)]],
+        [[label, s.n, s.mean, s.variance, s.skewness, s.kurtosis]],
     )
 
 
 def _cmd_acf(cfg: RunConfig) -> Path:
     r = _require_input(cfg)
     values = acf(np.abs(r.values), cfg.max_lag)
-    path = _write_csv(
-        cfg, "acf.csv", ["lag", "value"],
-        [[k, _fmt(float(v))] for k, v in enumerate(values)],
-    )
+    path = _write_csv(cfg, "acf.csv", ["lag", "value"], enumerate(values))
     if cfg.standardize:
         config, _ = _estimator_config(cfg)
         est = estimate_path(r, config)
@@ -529,10 +501,7 @@ def _cmd_acf(cfg: RunConfig) -> Path:
         full[est.taus - 1] = est.sigma_hat
         z = standardized_returns(r, full)
         std_values = acf(np.abs(z), min(cfg.max_lag, z.size - 1))
-        _write_csv(
-            cfg, "acf_standardized.csv", ["lag", "value"],
-            [[k, _fmt(float(v))] for k, v in enumerate(std_values)],
-        )
+        _write_csv(cfg, "acf_standardized.csv", ["lag", "value"], enumerate(std_values))
     return path
 
 

@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "LaveError",
+    "DegenerateWindowError",
+    "InputDataError",
+    "CalibrationBracketError",
+    "GarchConvergenceError",
+]
+
 
 class LaveError(Exception):
     """Base class for errors raised by this package."""

@@ -8,6 +8,7 @@ import csv
 import logging
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -124,6 +125,13 @@ class TestIngest:
         write_lines(empty, ["# just a comment"])
         with pytest.raises(InputDataError):
             ingest_csv(empty)
+
+    @pytest.mark.parametrize("lines", [["return", "0.1", "-0.2", "0.3"], ["0.1", "-0.2", "0.3"]])
+    def test_byte_order_mark_is_skipped(self, tmp_path, lines):
+        # spreadsheet exports often start with one
+        f = tmp_path / "bom.csv"
+        write_lines(f, ["\ufeff" + lines[0]] + lines[1:])
+        np.testing.assert_array_equal(ingest_csv(f).values, [0.1, -0.2, 0.3])
 
 
 class TestConfigParsing:
@@ -500,6 +508,24 @@ class TestReproducibility:
         assert first.startswith("# config: ")
         echoed = first[len("# config: "):].split()
         assert parse_config(echoed) == cfg
+
+    def test_quoted_header_reproduces_values_with_spaces(self, tmp_path):
+        cfg = RunConfig(
+            command="estimate", design="two-jump-3x", lam="table:80",
+            gamma_grid="0.5, 1.0", out_dir=str(tmp_path / "sp ace"), deterministic=True,
+        )
+        assert dispatch(cfg) == 0
+        first = (tmp_path / "sp ace" / "estimate.csv").read_text(encoding="utf-8").splitlines()[0]
+        assert parse_config(shlex.split(first[len("# config: "):])) == cfg
+
+
+class TestWriteCsv:
+    def test_every_cell_goes_through_the_number_format(self, tmp_path):
+        cfg = RunConfig(command="stats", out_dir=str(tmp_path), deterministic=True)
+        row = [np.float64(1 / 3), 1 / 3, np.int64(7), float("nan"), "a label"]
+        path = cli_mod._write_csv(cfg, "cells.csv", ["a", "b", "c", "d", "e"], [row])
+        _, rows = read_output(path)
+        assert rows == [["0.333333333333", "0.333333333333", "7", "nan", "a label"]]
 
 
 
