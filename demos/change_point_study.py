@@ -28,7 +28,10 @@ print()
 
 print("2. Accumulated relative error, 200 replications, both transform powers")
 lambdas = {k: v for k, v in DEFAULT_LAMBDA_TABLE.items() if k[0] in (0.5, 2.0)}
-result = run_change_point_experiment(design, lambdas, replications=200, seed=0)
+# every configuration gets its error cell; only section 3's gets its curves
+result = run_change_point_experiment(
+    design, lambdas, replications=200, seed=0, curves_for=[(0.5, 80)]
+)
 print()
 print("   gamma    M   lambda   error")
 for cell in result.cells:

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import csv
 import logging
+import math
 import os
 import shlex
 import sys
@@ -196,12 +197,11 @@ def parse_config(argv) -> RunConfig:
     return RunConfig(**vars(_build_parser().parse_args(argv)))
 
 
-def _is_number(cell: str) -> bool:
+def _to_float(cell: str) -> float | None:
     try:
-        float(cell)
+        return float(cell)
     except ValueError:
-        return False
-    return True
+        return None
 
 
 def ingest_csv(path, kind: str = "auto") -> ReturnSeries:
@@ -210,15 +210,21 @@ def ingest_csv(path, kind: str = "auto") -> ReturnSeries:
     A header row naming a price-like or return-like column selects that
     column; a leading date column is ignored. Headerless single-column data
     is treated as returns unless a '# prices' comment or kind='prices' says
-    otherwise. Rows whose selected cell is empty or non-numeric are dropped
-    and counted in a logged warning. Prices are converted to log returns.
-    A leading UTF-8 byte-order mark is skipped.
+    otherwise. Rows whose selected cell is empty, non-numeric or not a
+    finite number (nan, inf, -inf) are dropped and counted in a logged
+    warning. Prices are converted to log returns. The file must be UTF-8
+    text; a leading byte-order mark is skipped.
     """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8-sig")
     except OSError as exc:
         raise InputDataError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputDataError(
+            f"cannot read {path}: not UTF-8 text (byte {exc.object[exc.start]:#04x} "
+            f"at offset {exc.start})"
+        ) from exc
 
     comment_kind = None
     rows = []
@@ -237,14 +243,14 @@ def ingest_csv(path, kind: str = "auto") -> ReturnSeries:
     named = [(i, _VALUE_HEADERS[name]) for i, name in enumerate(header) if name in _VALUE_HEADERS]
     if named:
         (col, header_kind), data_rows = named[0], rows[1:]
-    elif any(name in _DATE_HEADERS for name in header) or not _is_number(rows[0][-1]):
+    elif any(name in _DATE_HEADERS for name in header) or _to_float(rows[0][-1]) is None:
         raise InputDataError(f"{path}: no recognizable price or return column")
     else:
         # headerless: the last column is the value, any leading column a date
         col, header_kind, data_rows = len(rows[0]) - 1, None, rows
 
     cells = [row[col].strip() if col < len(row) else "" for row in data_rows]
-    values = [float(cell) for cell in cells if _is_number(cell)]
+    values = [v for v in map(_to_float, cells) if v is not None and math.isfinite(v)]
     if len(values) < len(cells):
         log.warning("dropped %d non-numeric rows from %s", len(cells) - len(values), path)
     # explicit kind wins, then a comment directive, then the header
@@ -436,6 +442,7 @@ def _cmd_simulate(cfg: RunConfig) -> Path:
         seed=cfg.seed,
         t_start=cfg.t_start,
         m0=cfg.m0,
+        curves_for=[curves_key],
     )
     err_rows = [[c.gamma, c.lam, c.m_label, c.error] for c in result.cells]
     errors_path = _write_csv(

@@ -36,6 +36,7 @@ longer windows the means, and with them a tie, can differ in the last bit.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -352,12 +353,42 @@ def _split_terms(rest, theta_test, v_test_sq, m0: int, s_gamma: float):
     return statistic, np.sqrt(v_rest, out=v_rest)
 
 
-# Budget of one block of taus: its rows times their largest candidate
-# count. The scan's working set holds three float arrays of that size (the
-# rest sums of every split and the two test-side terms of each column), and
-# one candidate's split temporaries are no larger, so a block takes a small
-# multiple of 2**16 floats however long the series or wide the batch.
+# Budget of one block of taus: its rows (series x taus) times the largest
+# candidate count among them, its last tau's. The scan's working set holds
+# three float arrays of that size (the rest sums of every split and the two
+# test-side terms of each column), and one candidate's split temporaries are
+# no larger, so a block takes a small multiple of 2**16 floats however long
+# the series or wide the batch.
 _BLOCK_ELEMENTS = 2**16
+
+
+def _candidate_counts(taus: np.ndarray, m0: int, max_len: int | None) -> np.ndarray:
+    """Candidate windows at each tau: min(tau, max_len) // m0, which never
+    decreases along increasing taus."""
+    tops = taus if max_len is None else np.minimum(taus, int(max_len))
+    return tops // m0
+
+
+def _tau_blocks(counts: np.ndarray, n_series: int) -> list[int]:
+    """Split taus with nondecreasing candidate counts into consecutive
+    blocks [bounds[i], bounds[i + 1]) for _scan_taus.
+
+    Each block takes as many taus as fit n_series * (its taus) * (its last
+    tau's count) <= _BLOCK_ELEMENTS, so the first taus of a scan, which have
+    few candidates, share a block with many others. A tau over budget on its
+    own is a block of one.
+    """
+    budget = _BLOCK_ELEMENTS // n_series
+    counts = counts.tolist()
+    bounds = [0]
+    while bounds[-1] < len(counts):
+        lo = bounds[-1]
+        # the entries per series of block [lo, hi) grow with hi
+        fits = bisect_right(
+            range(lo + 1, len(counts) + 1), budget, key=lambda hi: (hi - lo) * counts[hi - 1]
+        )
+        bounds.append(lo + max(fits, 1))
+    return bounds
 
 
 def _scan_taus(
@@ -405,8 +436,7 @@ def _scan_taus(
     """
     n_series, width = blocks.shape
     flat_blocks = blocks.ravel()
-    tops = taus if max_len is None else np.minimum(taus, int(max_len))
-    all_cand = np.tile(tops // m0, n_series)
+    all_cand = np.tile(_candidate_counts(taus, m0, max_len), n_series)
     n_rows, k_max = all_cand.size, int(all_cand.max())
     # per-threshold, per-row results, copied out of the working set when it
     # is compacted and at the end
@@ -478,8 +508,8 @@ def _rejected_lengths(lens, taus, m0: int, max_len: int | None = None):
     """First rejected candidate length at each tau, read off the chosen
     length: the next candidate where the scan stopped before its last one,
     0 where it kept every candidate or left a gap (length 0)."""
-    tops = taus if max_len is None else np.minimum(taus, int(max_len))
-    return np.where((lens > 0) & (lens < tops // m0 * m0), lens + m0, 0)
+    last = _candidate_counts(taus, m0, max_len) * m0
+    return np.where((lens > 0) & (lens < last), lens + m0, 0)
 
 
 def _scan_at_tau(
@@ -506,8 +536,9 @@ def _scan_path(blocks: np.ndarray, n: int, config: EstimatorConfig, lams):
     blocks : _block_sums of (R, n) transformed series. Returns taus and
     (lams.size, R, taus.size) arrays theta and lens, entry i under lams[i];
     a degenerate window leaves a gap, NaN in theta and 0 in lens. The taus
-    are scanned in blocks of at most _BLOCK_ELEMENTS working-set entries
-    (rows x candidates), so memory stays bounded in n.
+    are scanned in the blocks of _tau_blocks, each sized by its own largest
+    candidate count to at most _BLOCK_ELEMENTS working-set entries (rows x
+    candidates) unless it is a single tau, so memory stays bounded in n.
     """
     t0 = config.start_time
     if t0 > n:
@@ -517,12 +548,11 @@ def _scan_path(blocks: np.ndarray, n: int, config: EstimatorConfig, lams):
     n_series = blocks.shape[0]
 
     taus = np.arange(t0, n + 1, dtype=np.int64)
-    top = n if config.max_len is None else min(n, int(config.max_len))
-    per_block = max(1, _BLOCK_ELEMENTS // (n_series * (top // config.m0)))
+    bounds = _tau_blocks(_candidate_counts(taus, config.m0, config.max_len), n_series)
     theta = np.empty((lams.size, n_series, taus.size))
     lens = np.empty(theta.shape, dtype=np.int64)
-    for lo in range(0, taus.size, per_block):
-        block = slice(lo, lo + per_block)
+    for lo, hi in zip(bounds, bounds[1:]):
+        block = slice(lo, hi)
         chosen_len, theta_hat, degenerate = _scan_taus(
             blocks, taus[block], config.m0, lams, s_gamma, config.max_len
         )

@@ -227,6 +227,7 @@ def run_change_point_experiment(
     seed: int = 0,
     t_start: int = 20,
     m0: int = 10,
+    curves_for: Iterable | None = None,
 ) -> ExperimentResult:
     """Monte Carlo study of the scan on one change-point design.
 
@@ -236,13 +237,21 @@ def run_change_point_experiment(
     empty lambdas raises ValueError. All configurations share one seeded
     set of Gaussian draws, so cells are comparable and the output is
     reproducible from (design, seed) alone. Returns accumulated relative
-    errors plus per-time median/quartile curves of the estimate and of the
-    selected window length.
+    errors for every entry, plus per-time median/quartile curves of the
+    estimate and of the selected window length for the keys of lambdas
+    named in curves_for (default: every key; a key not in lambdas raises
+    ValueError). Each curve takes two percentile passes over all
+    replications at every tau, so a caller that writes one curve asks for
+    that one alone.
     """
     if replications <= 0:
         raise ValueError("replications must be positive")
     if not lambdas:
         raise ValueError("lambdas must hold at least one (gamma, m_label) entry")
+    wanted = set(lambdas if curves_for is None else curves_for)
+    if not wanted <= lambdas.keys():
+        missing = sorted(wanted - lambdas.keys())
+        raise ValueError(f"curves_for names configurations not in lambdas: {missing}")
     sigma = design.sigma_path()
     n = sigma.size
     if not (1 <= t_start <= n):
@@ -268,6 +277,8 @@ def run_change_point_experiment(
             cells.append(
                 ExperimentCell(gamma=gamma, lam=lam, m_label=m_label, error=err)
             )
+            if (gamma, m_label) not in wanted:
+                continue
             q25, med, q75 = np.percentile(sigma_hat, [25.0, 50.0, 75.0], axis=0)
             l25, lmed, l75 = np.percentile(lens, [25.0, 50.0, 75.0], axis=0)
             curves[(gamma, m_label)] = CurveTable(

@@ -134,6 +134,30 @@ class TestIngest:
         np.testing.assert_array_equal(ingest_csv(f).values, [0.1, -0.2, 0.3])
 
 
+    def test_non_utf8_file_is_an_input_error(self, tmp_path, capsys):
+        # a Latin-1 export: the comment's e-acute is the single byte 0xe9
+        f = tmp_path / "latin1.csv"
+        f.write_bytes("# café\nreturn\n0.1\n-0.2\n0.3\n-0.1\n0.2\n".encode("latin-1"))
+        with pytest.raises(InputDataError, match="latin1.csv.*not UTF-8"):
+            ingest_csv(f)
+        assert main(["stats", "--input", str(f), "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "kind=input" in err and "latin1.csv" in err and "UTF-8" in err
+
+    @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    def test_non_finite_cells_are_dropped_like_non_numeric_ones(self, tmp_path, caplog, cell):
+        loaded = {}
+        for name in (cell, "abc"):
+            f = tmp_path / "returns.csv"
+            write_lines(f, ["return", "0.1", name, "-0.2", "0.3", "-0.1"])
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="lave.cli"):
+                loaded[name] = ingest_csv(f).values
+            assert "dropped 1 non-numeric rows" in caplog.text
+        np.testing.assert_array_equal(loaded[cell], loaded["abc"])
+        np.testing.assert_array_equal(loaded[cell], [0.1, -0.2, 0.3, -0.1])
+
+
 class TestConfigParsing:
     def test_round_trip_through_argv(self, tmp_path):
         cfg = RunConfig(
@@ -351,6 +375,32 @@ class TestCommands:
             assert dispatch(cfg) == 0
         assert len(logged) == 1
         assert "--curves-for gamma=1.0, M=80 was not computed; writing gamma=0.5, M=40" in logged[0]
+
+    @pytest.mark.parametrize(
+        "flags",
+        [{}, {"curves_for": "2.0,40"}, {"lambdas": "0.5:40:2.4;2.0:80:3.18", "curves_for": "1.0,80"}],
+        ids=["default", "2.0,40", "fallback"],
+    )
+    def test_simulate_curves_equal_those_of_a_study_with_every_curve(
+        self, tmp_path, monkeypatch, flags
+    ):
+        common = dict(command="simulate", design="two-jump-3x", replications=20,
+                      deterministic=True, **flags)
+        assert dispatch(RunConfig(out_dir=str(tmp_path / "one"), **common)) == 0
+        study = cli_mod.run_change_point_experiment
+
+        def every_curve(*args, curves_for, **kwargs):
+            return study(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "run_change_point_experiment", every_curve)
+        assert dispatch(RunConfig(out_dir=str(tmp_path / "all"), **common)) == 0
+        for name in ("errors.csv", "curves.csv"):
+            one, every = (
+                [ln for ln in (tmp_path / side / name).read_bytes().splitlines(True)
+                 if not ln.startswith(b"#")]
+                for side in ("one", "all")
+            )
+            assert one == every, name
 
     def test_backtest_outputs(self, tmp_path):
         f = tmp_path / "returns.csv"

@@ -1,9 +1,11 @@
 """The block-of-taus scan kernel across its block boundaries and in memory.
 
-_scan_path splits the taus into blocks of at most _BLOCK_ELEMENTS
-working-set entries (rows x taus per block x candidates), at least one tau
-each. These inputs are large enough to force many blocks: long series
-without max_len, a wide batch where every block holds a single tau, and a
+_scan_path splits the taus into the consecutive blocks of _tau_blocks,
+each of at most _BLOCK_ELEMENTS working-set entries (series x taus in the
+block x the block's largest candidate count) unless it is a single tau. A
+property test pins that split; the tests below take their block boundaries
+from it. These inputs are large enough to force many blocks: long series
+without max_len, a wide batch whose widest taus take a block each, and a
 long series and a wide batch whose traced peak memory must stay bounded.
 
 Within a block the kernel masks stopped rows and compacts its working set
@@ -23,14 +25,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lave.errors import DegenerateWindowError
 from lave.estimator import (
     _BLOCK_ELEMENTS,
     EstimatorConfig,
     _block_sums,
+    _candidate_counts,
     _scan_at_tau,
     _scan_taus,
+    _tau_blocks,
     batch_estimate,
     estimate_path,
     select_interval,
@@ -45,6 +51,37 @@ def alternating_returns(n, run, high, seed):
     rng = np.random.default_rng(seed)
     sigma = np.where((np.arange(n) // run) % 2 == 0, 1.0, high)
     return sigma * rng.standard_normal(n)
+
+
+def scan_blocks(n, config, n_series=1):
+    """_scan_path's block bounds over the taus of series of length n."""
+    taus = np.arange(config.start_time, n + 1)
+    return _tau_blocks(_candidate_counts(taus, config.m0, config.max_len), n_series)
+
+
+@st.composite
+def tau_ranges(draw):
+    """Candidate counts of the taus t0..n of one scan."""
+    m0 = draw(st.sampled_from([1, 3, 10]))
+    t0 = draw(st.integers(m0, 4 * m0))
+    n = draw(st.integers(t0, 5000))
+    max_len = draw(st.one_of(st.none(), st.integers(m0, n + m0)))
+    return _candidate_counts(np.arange(t0, n + 1), m0, max_len)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(tau_ranges(), st.sampled_from([1, 2000]))
+def test_blocks_cover_the_taus_in_order_each_within_budget_or_a_single_tau(counts, n_series):
+    bounds = _tau_blocks(counts, n_series)
+    assert bounds[0] == 0 and bounds[-1] == counts.size
+    for lo, hi in zip(bounds, bounds[1:]):
+        assert hi > lo
+        # a block's largest count is its last tau's
+        entries = n_series * (hi - lo) * int(counts[hi - 1])
+        assert entries <= _BLOCK_ELEMENTS or hi == lo + 1
+        # and it takes every tau that fits
+        if hi < counts.size:
+            assert n_series * (hi + 1 - lo) * int(counts[hi]) > _BLOCK_ELEMENTS
 
 
 def assert_path_matches_reference(path, r, indices):
@@ -67,13 +104,13 @@ def assert_path_matches_reference(path, r, indices):
 
 @pytest.mark.parametrize("m0", [1, 3])
 def test_long_series_matches_reference_on_both_sides_of_every_block_boundary(m0):
-    n = 3000
+    # a larger m0 has fewer candidates per tau and so fewer, longer blocks
+    n = {1: 3000, 3: 4500}[m0]
     r = alternating_returns(n, run=25, high=6.0, seed=7)
     r[1496:1505] = 0.0
     config = EstimatorConfig(gamma=0.5, m0=m0, lam=2.4)
-    per_block = _BLOCK_ELEMENTS // (n // m0)
     n_taus = n - config.start_time + 1
-    boundaries = np.arange(per_block, n_taus, per_block)
+    boundaries = np.array(scan_blocks(n, config)[1:-1])
     assert boundaries.size >= 40
     indices = np.unique(np.concatenate([boundaries - 1, boundaries, [n_taus - 1]]))
     r = ReturnSeries(r)
@@ -83,8 +120,9 @@ def test_long_series_matches_reference_on_both_sides_of_every_block_boundary(m0)
 def test_wide_batch_with_one_tau_per_block_matches_estimate_path_row_by_row():
     rows, n = 3000, 60
     config = EstimatorConfig(gamma=0.5, m0=3, lam=2.4)
-    # two taus of the widest scan would exceed the block budget
-    assert 2 * rows * (n // config.m0) > _BLOCK_ELEMENTS
+    # the first taus share blocks; the widest take a block each
+    sizes = np.diff(scan_blocks(n, config, rows))
+    assert sizes[0] > 1 and sizes[-1] == 1
     rng = np.random.default_rng(11)
     returns = np.where(np.arange(n) < 35, 1.0, 3.0) * rng.standard_normal((rows, n))
     returns[::7, 40:44] = 0.0
@@ -185,27 +223,29 @@ def test_estimate_path_block_with_mixed_candidate_counts_under_max_len():
     r[100:103] = 0.0
     r[300:302] = 0.0
     config = EstimatorConfig(gamma=0.5, m0=m0, lam=2.4, max_len=max_len)
-    per_block = _BLOCK_ELEMENTS // (max_len // m0)
+    first_block = scan_blocks(n, config)[1]
     # the first block runs from tau = 2 (2 candidates) past tau = max_len
-    assert config.start_time < max_len < config.start_time + per_block
+    assert config.start_time < max_len < config.start_time + first_block
     r = ReturnSeries(r)
     path = estimate_path(r, config)
-    assert_path_matches_reference(path, r, np.arange(0, per_block + 40, 3))
+    assert_path_matches_reference(path, r, np.arange(0, first_block + 40, 3))
 
 
 def test_batch_blocks_with_mixed_candidate_counts_at_m0_one():
     rows, n = 200, 100
     config = EstimatorConfig(gamma=0.5, m0=1, lam=2.4)
-    per_block = _BLOCK_ELEMENTS // (rows * n)
-    assert per_block >= 3  # each block holds taus with different candidate counts
+    bounds = scan_blocks(n, config, rows)
+    # each block but the last holds taus with different candidate counts
+    assert min(np.diff(bounds)[:-1]) >= 3
     rng = np.random.default_rng(17)
     jumps = rng.integers(10, n, size=rows)
     returns = np.where(np.arange(n) >= jumps[:, None], 4.0, 1.0) * rng.standard_normal((rows, n))
     returns[::9, 60:62] = 0.0
     _, paths = assert_batch_matches_estimate_path(returns, config)
-    last_full_block = per_block * (len(paths[0]) // per_block - 1) + np.arange(per_block)
+    # the last tau of a block, the next block and the single last tau
+    last_blocks = np.arange(bounds[-3] - 1, bounds[-1])
     for row, path in zip(returns, paths):
-        assert_path_matches_reference(path, ReturnSeries(row), last_full_block)
+        assert_path_matches_reference(path, ReturnSeries(row), last_blocks)
 
 
 def test_wide_batch_runs_in_bounded_memory():
@@ -230,8 +270,9 @@ def assert_same_bits(a, b):
 
 def test_thresholds_scanned_together_match_one_scan_each_through_compactions():
     rows, n, m0 = 1200, 90, 3
-    # one tau per block, so the last block is the scan at tau = n alone
-    assert rows * (n // m0) > _BLOCK_ELEMENTS // 2
+    # the last block is the scan at tau = n alone
+    bounds = scan_blocks(n, EstimatorConfig(gamma=0.5, m0=m0, lam=2.4), rows)
+    assert bounds[-2] == bounds[-1] - 1
     rng = np.random.default_rng(8)
     # staggered jumps from 1 to 6 stop the rows at spread candidates under
     # the larger threshold; noisier returns than in the test above stop

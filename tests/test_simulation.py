@@ -275,6 +275,27 @@ class TestExperimentHarness:
         assert [(cell.gamma, cell.m_label) for cell in res.cells] == order
         assert list(res.curves) == order
 
+    def test_curves_for_one_key_builds_that_curve_alone(self):
+        design = ChangePointSpec(segments=TWO_JUMP_3X)
+        lambdas = {(2.0, 80): 3.18, (0.5, 80): 2.74, (0.5, 40): 2.40, (2.0, 40): 2.41}
+        full = run_change_point_experiment(design, lambdas, replications=40, seed=1)
+        for key in lambdas:
+            one = run_change_point_experiment(
+                design, lambdas, replications=40, seed=1, curves_for=[key]
+            )
+            assert one.cells == full.cells
+            assert list(one.curves) == [key]
+            for field in vars(full.curves[key]):
+                a, b = getattr(one.curves[key], field), getattr(full.curves[key], field)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (key, field)
+
+    def test_curves_for_a_key_not_run_is_an_error(self):
+        design = ChangePointSpec(segments=TWO_JUMP_3X)
+        with pytest.raises(ValueError, match="curves_for"):
+            run_change_point_experiment(
+                design, {(0.5, 80): 2.74}, replications=10, curves_for=[(1.0, 80)]
+            )
+
     def test_no_matching_lambdas(self):
         design = ChangePointSpec(segments=TWO_JUMP_3X)
         with pytest.raises(ValueError):
