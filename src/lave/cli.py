@@ -213,7 +213,9 @@ def ingest_csv(path, kind: str = "auto") -> ReturnSeries:
     otherwise. Rows whose selected cell is empty, non-numeric or not a
     finite number (nan, inf, -inf) are dropped and counted in a logged
     warning. Prices are converted to log returns. The file must be UTF-8
-    text; a leading byte-order mark is skipped.
+    text; a leading byte-order mark is skipped. A line the csv module cannot
+    parse, such as one with a cell over its field size limit, is an input
+    error.
     """
     path = Path(path)
     try:
@@ -228,14 +230,17 @@ def ingest_csv(path, kind: str = "auto") -> ReturnSeries:
 
     comment_kind = None
     rows = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if stripped.startswith("#"):
             directive = stripped.lstrip("#").strip().lower()
             if directive in ("returns", "prices"):
                 comment_kind = directive
         elif stripped:
-            rows.append(next(csv.reader([line])))
+            try:
+                rows.append(next(csv.reader([line])))
+            except csv.Error as exc:
+                raise InputDataError(f"cannot read {path} line {number}: {exc}") from exc
     if not rows:
         raise InputDataError(f"{path} has no data rows")
 

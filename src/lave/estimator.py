@@ -10,14 +10,21 @@ theta_hat (its mean) and sigma_hat = (theta_hat / c_gamma)^(1/gamma).
 
 `select_interval` is the readable single-time reference implementation and
 keeps a full trace of every comparison. One module-private kernel,
-`_scan_taus`, reproduces its decisions for many (series, tau) rows at once.
-It sums each window from m0-block sums taken on their own, which never
+`_scan_rows`, reproduces its decisions for a set of (series, tau) rows at
+once. It sums each window from m0-block sums taken on their own, which never
 cancel, since the transformed values are nonnegative, and decides every
-split as `homogeneity_test` does. `_scan_path` walks the taus in blocks of
-bounded size, so memory does not grow with n, and serves `estimate_path`
-(one row) and `batch_estimate` (one row per Monte Carlo replication);
-`_scan_at_tau` is the kernel at one tau, which `forecast_next` runs, and
-calibration shares its split arithmetic.
+split as `homogeneity_test` does. Each candidate step spends little beyond
+that arithmetic: a row's kept candidates are counted, its theta_hat is read
+once from the test-side terms already stored when it leaves the working
+set, and gaps are decided from each row's first all-zero block, tracked
+only once one is gathered. `_scan_taus` walks the taus in blocks of bounded
+size, so memory does not grow with n, writes each row's results once into
+its output, and runs the few rows that blocks leave scanning long in
+pooled passes of the same kernel, each once the pool fills the block budget
+or the last block is done. `_scan_path` applies the gaps and serves
+`estimate_path` (one row) and `batch_estimate` (one row per Monte Carlo
+replication); `_scan_at_tau` is the scan at one tau, which `forecast_next`
+runs, and calibration shares its split arithmetic.
 
 The kernel scans under several thresholds at once, and its results carry a
 leading threshold axis. A split's statistic and root do not depend on
@@ -358,8 +365,16 @@ def _split_terms(rest, theta_test, v_test_sq, m0: int, s_gamma: float):
 # three float arrays of that size (the rest sums of every split and the two
 # test-side terms of each column), and one candidate's split temporaries are
 # no larger, so a block takes a small multiple of 2**16 floats however long
-# the series or wide the batch.
+# the series or wide the batch. A pooled pass of stragglers keeps to the same
+# budget.
 _BLOCK_ELEMENTS = 2**16
+
+# The fixed cost of one candidate step of the kernel, some 30 numpy calls,
+# in split entries (one split of one row): 30-40 us against 8-13 ns per
+# entry on a 2-vCPU x86-64 VM. The kernel compacts its working set, and
+# hands stragglers to the pooled pass, only where that saves more than it
+# costs in these units.
+_STEP_ENTRIES = 2**12
 
 
 def _candidate_counts(taus: np.ndarray, m0: int, max_len: int | None) -> np.ndarray:
@@ -391,22 +406,33 @@ def _tau_blocks(counts: np.ndarray, n_series: int) -> list[int]:
     return bounds
 
 
-def _scan_taus(
-    blocks: np.ndarray,
-    taus: np.ndarray,
-    m0: int,
-    lams: np.ndarray,
-    s_gamma: float,
-    max_len: int | None = None,
-):
-    """Vectorized replica of select_interval's decisions at a block of taus,
+def _write_rows(out, m0: int, rows, chosen, state, first_zero, cols):
+    """Write the results of the working-set columns cols of _scan_rows into
+    out = (lens, theta, gap), each (thresholds, N), at the rows'
+    destinations: the chosen length, theta_test of the last kept candidate,
+    and the gap flag, set where a zero block lies within the row's stop."""
+    counts = chosen.take(cols, axis=1)
+    dest = rows[0].take(cols)
+    theta = state[1].take((counts - 1) * state.shape[2] + cols)
+    gap = None
+    if first_zero is not None:
+        gap = first_zero.take(cols) <= np.minimum(counts + 1, rows[2].take(cols))
+    for i in range(counts.shape[0]):
+        out[0][i].put(dest, counts[i] * m0)
+        out[1][i].put(dest, theta[i])
+        if gap is not None:
+            out[2][i].put(dest, gap[i])
+
+
+def _scan_rows(flat_blocks, rows, m0: int, lams, s_gamma: float, out, pool=None):
+    """Vectorized replica of select_interval's decisions for a set of rows,
     under each of the thresholds lams at once, in any order.
 
-    blocks : _block_sums of R series; taus : int64 array. Every
-    (series, tau) pair is a row with its own candidate count
-    min(tau, max_len) // m0. Returns (lams.size, R, taus.size) arrays:
-    chosen length, theta_hat and a flag for rows where select_interval
-    would raise.
+    flat_blocks : the raveled _block_sums of the series. rows : a (3, n)
+    int array; each column is one (series, tau) row, given as its
+    destination in out, the flat position of (series, tau) in flat_blocks
+    and its candidate count min(tau, max_len) // m0. Results go to out, see
+    _write_rows.
 
     Candidates k = 1, 2, ... are taken one at a time on a candidate-major
     working set (candidates x rows). At candidate k each held row gathers
@@ -417,91 +443,158 @@ def _scan_taus(
     depend on the threshold, so they are computed once for all of lams, and
     each threshold decides with its own comparison statistic > lam * root,
     as homogeneity_test does. A row stops, under each threshold, at its
-    first rejection or after its own last candidate, and records theta_hat
-    and its chosen length as it accepts each candidate.
+    first rejection or after its own last candidate.
+
+    Each step spends little beyond that arithmetic. A row's kept candidates
+    are counted (chosen += live), and its theta_hat, the theta_test column
+    of its last kept candidate, is read once, when the row leaves the
+    working set. Gaps are decided from each row's first zero block, which is
+    tracked only from the first step whose gathered blocks hold a zero: a
+    row is degenerate exactly when one of the blocks 1..stop is zero, stop
+    being the rejected candidate or else the last, min(chosen + 1, count).
+    Every examined window holds block 1 or the oldest block of its
+    candidate, and each such block is itself examined (the test window at
+    j = m0, the rest window at j = (k-1)*m0).
 
     For roots >= 0, lam_lo <= lam_hi gives fl(lam_lo * root) <= fl(lam_hi
     * root), so a split that rejects under the larger threshold rejects
     under the smaller one too: a row live under any threshold is live
     under the largest. The working set therefore holds a row while it is
-    live under the largest threshold; stopped rows stay in it, masked, until
-    fewer than half of its rows are live under it, and then it is compacted
-    to those rows.
+    live under the largest threshold; stopped rows stay in it, masked,
+    until fewer than 3/4 of its rows are live and the masked rows' split
+    entries outweigh a step's fixed cost, and then it is compacted to the
+    live rows.
 
-    The degenerate flag is decided as the blocks are gathered: a row is
-    degenerate exactly when one of the blocks 1..k is zero, k being the
-    rejected candidate or else the last. Every examined window holds block
-    1 or the oldest block of its candidate, and each such block is itself
-    examined (the test window at j = m0, the rest window at j = (k-1)*m0).
+    Given a pool (a list), the scan hands its live rows over once they are
+    so few that a pooled pass of k_last steps, the working set's largest
+    candidate count, can serve k_last such hand-overs within
+    _BLOCK_ELEMENTS, and redoing their splits so far costs less than one
+    step: it appends them to pool and returns. The caller runs the pooled
+    rows in one more scan without a pool. They restart there at k = 1,
+    so their results are the same bits.
+
+    Memory: the working set's three (count, rows) float arrays, the rows
+    and per row a test sum, a count and a flag per threshold, and the
+    first zero block once one is seen; a compaction holds the old and the
+    new working set for a moment.
     """
-    n_series, width = blocks.shape
-    flat_blocks = blocks.ravel()
-    all_cand = np.tile(_candidate_counts(taus, m0, max_len), n_series)
-    n_rows, k_max = all_cand.size, int(all_cand.max())
-    # per-threshold, per-row results, copied out of the working set when it
-    # is compacted and at the end
-    out_chosen = np.empty((lams.size, n_rows), dtype=np.int64)
-    out_theta = np.empty((lams.size, n_rows))
-    out_degenerate = np.empty((lams.size, n_rows), dtype=bool)
-
-    # the working set: one entry per row it holds, live or masked
-    rows = np.arange(n_rows)
-    n_cand = all_cand
-    at = (width * np.arange(n_series)[:, None] + taus).ravel()  # flat (series, tau)
+    n_rows = rows.shape[1]
+    # per candidate k - 1: the rest sums of its splits, then theta_test and
+    # v_test^2 of its test window
+    state = np.empty((3, int(rows[2].max()), n_rows))
     test_sum = np.zeros(n_rows)
-    chosen = np.empty((lams.size, n_rows), dtype=np.int64)
-    theta = np.empty((lams.size, n_rows))
-    degenerate = np.zeros((lams.size, n_rows), dtype=bool)
+    chosen = np.zeros((lams.size, n_rows), dtype=np.int64)
     live = np.ones((lams.size, n_rows), dtype=bool)
-    rest, theta_test, v_test_sq = (np.empty((k_max, n_rows)) for _ in range(3))
-    fewest = int(n_cand.min())  # every held row has candidates up to here
+    first_zero = None
+    _, at, n_cand = rows
+    fewest = int(n_cand.min())
     lam_list, top = lams.tolist(), int(lams.argmax())
 
-    for k in range(1, k_max + 1):
+    for k in range(1, state.shape[1] + 1):
         if k > fewest:
             live &= n_cand >= k
         n_live = np.count_nonzero(live[top])
         if n_live == 0:
             break
-        if 2 * n_live < rows.size:
-            out_chosen[:, rows], out_theta[:, rows], out_degenerate[:, rows] = (
-                chosen, theta, degenerate
-            )
+        n_held, k_last = rows.shape[1], state.shape[1]
+        if (
+            pool is not None
+            and n_live * k_last * k_last <= _BLOCK_ELEMENTS
+            and n_live * k * (k - 1) < 2 * _STEP_ENTRIES
+        ):
+            _write_rows(out, m0, rows, chosen, state, first_zero, np.flatnonzero(~live[top]))
+            pool.append(rows.compress(live[top], axis=1))
+            return
+        if 4 * n_live < 3 * n_held and (n_held - n_live) * k > _STEP_ENTRIES:
+            _write_rows(out, m0, rows, chosen, state, first_zero, np.flatnonzero(~live[top]))
             keep = np.flatnonzero(live[top])
-            rows, n_cand, at, test_sum = (a[keep] for a in (rows, n_cand, at, test_sum))
-            chosen, theta, degenerate, live = (
-                a[:, keep] for a in (chosen, theta, degenerate, live)
-            )
-            held = (rest, theta_test, v_test_sq)
-            rest, theta_test, v_test_sq = (np.empty((k_max, keep.size)) for _ in held)
-            for old, new in zip(held, (rest, theta_test, v_test_sq)):
-                new[: k - 1] = old[: k - 1, keep]
+            rows, chosen, live = (a.take(keep, axis=1) for a in (rows, chosen, live))
+            test_sum = test_sum.take(keep)
+            if first_zero is not None:
+                first_zero = first_zero.take(keep)
+            _, at, n_cand = rows
+            held = state
+            state = np.empty((3, int(n_cand.max()), keep.size))
+            for old, new in zip(held, state):
+                old[: k - 1].take(keep, axis=1, out=new[: k - 1], mode="clip")
             fewest = int(n_cand.min())
 
         # masked rows gather too; past its last candidate a row reads a
         # clipped block whose value is never used
-        block = np.take(flat_blocks, at - k * m0, mode="clip")
-        degenerate |= (block == 0.0) & live
+        block = flat_blocks.take(at - k * m0, mode="clip")
+        if not block.all():
+            if first_zero is None:
+                first_zero = np.full(block.size, k_last + 1)
+            zero = block == 0.0
+            first_zero[zero] = np.minimum(first_zero[zero], k)
         test_sum += block
+        rest, theta_test, v_test_sq = state[:, :k]
         theta_test[k - 1], v_test_sq[k - 1] = _test_terms(test_sum, k * m0, s_gamma)
         if k > 1:
             rest[k - 2] = block
             rest[: k - 2] += block
-            statistic, root = _split_terms(
-                rest[: k - 1], theta_test[: k - 1], v_test_sq[: k - 1], m0, s_gamma
-            )
+            statistic, root = _split_terms(rest[:-1], theta_test[:-1], v_test_sq[:-1], m0, s_gamma)
             for lam, live_under in zip(lam_list, live):
                 live_under ^= (statistic > lam * root).any(axis=0) & live_under
-        np.copyto(chosen, k, where=live)
-        np.copyto(theta, theta_test[k - 1], where=live)
+        chosen += live
 
-    out_chosen[:, rows], out_theta[:, rows], out_degenerate[:, rows] = chosen, theta, degenerate
+    _write_rows(out, m0, rows, chosen, state, first_zero, np.arange(rows.shape[1]))
+
+
+def _scan_taus(
+    blocks: np.ndarray,
+    taus: np.ndarray,
+    m0: int,
+    lams: np.ndarray,
+    s_gamma: float,
+    max_len: int | None = None,
+):
+    """select_interval's decisions at each of the taus on every series,
+    under each of the thresholds lams at once, in any order.
+
+    blocks : _block_sums of R series; taus : int64 array. Every
+    (series, tau) pair is a row with its own candidate count
+    min(tau, max_len) // m0. Returns (lams.size, R, taus.size) arrays:
+    chosen length, theta_hat and a flag for rows where select_interval
+    would raise; a flagged row keeps the length and theta_hat the scan
+    reached.
+
+    The taus are scanned by _scan_rows in the blocks of _tau_blocks, each
+    sized by its own largest candidate count to at most _BLOCK_ELEMENTS
+    working-set entries (rows x candidates) unless it is a single tau, so
+    memory stays bounded in the length of the series. Each row's results
+    are written once, straight into the returned arrays. A block that is
+    down to a few live rows hands them to a pool, and the pooled rows run
+    in one pass once they exceed the budget or the last block is done, so
+    their last steps are shared with the stragglers of many other blocks. A pooled pass runs up to the largest candidate count k_last
+    among its rows, so a block is given the pool only when the scan has
+    more than k_last blocks, and the last block only when the pool already
+    holds rows. Besides one block's or one pooled pass's working set, the
+    scan holds its results, 17 bytes per entry and threshold, and three
+    ints per pooled row.
+    """
+    n_series, width = blocks.shape
+    flat_blocks = blocks.ravel()
+    counts = _candidate_counts(taus, m0, max_len)
     shape = (lams.size, n_series, taus.size)
-    return (
-        (out_chosen * m0).reshape(shape),
-        out_theta.reshape(shape),
-        out_degenerate.reshape(shape),
-    )
+    results = (np.empty(shape, dtype=np.int64), np.empty(shape), np.zeros(shape, dtype=bool))
+    out = tuple(a.reshape(lams.size, -1) for a in results)
+    series = np.arange(n_series)[:, None]
+    bounds = _tau_blocks(counts, n_series)
+    pool = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        # destination, flat block position and candidate count of each row
+        columns = (
+            taus.size * series + np.arange(lo, hi), width * series + taus[lo:hi], counts[lo:hi]
+        )
+        rows = np.stack(np.broadcast_arrays(*columns)).reshape(3, -1)
+        shared = counts[hi - 1] < len(bounds) - 1 and (bool(pool) or hi < taus.size)
+        _scan_rows(flat_blocks, rows, m0, lams, s_gamma, out, pool if shared else None)
+        pooled = sum(p.shape[1] for p in pool)
+        if pooled and (hi == taus.size or pooled * int(counts[hi - 1]) > _BLOCK_ELEMENTS):
+            _scan_rows(flat_blocks, np.concatenate(pool, axis=1), m0, lams, s_gamma, out)
+            pool.clear()
+    return results
 
 
 def _rejected_lengths(lens, taus, m0: int, max_len: int | None = None):
@@ -535,29 +628,18 @@ def _scan_path(blocks: np.ndarray, n: int, config: EstimatorConfig, lams):
 
     blocks : _block_sums of (R, n) transformed series. Returns taus and
     (lams.size, R, taus.size) arrays theta and lens, entry i under lams[i];
-    a degenerate window leaves a gap, NaN in theta and 0 in lens. The taus
-    are scanned in the blocks of _tau_blocks, each sized by its own largest
-    candidate count to at most _BLOCK_ELEMENTS working-set entries (rows x
-    candidates) unless it is a single tau, so memory stays bounded in n.
+    a degenerate window leaves a gap, NaN in theta and 0 in lens. The scan
+    is one _scan_taus over all the taus, which bounds its memory in n; the
+    gaps are applied to its results here, in one pass over each array.
     """
     t0 = config.start_time
     if t0 > n:
         raise ValueError(f"t0={t0} exceeds series length {n}")
     s_gamma = moment_constants(config.gamma).s_gamma
     lams = np.asarray(lams, dtype=float)
-    n_series = blocks.shape[0]
-
     taus = np.arange(t0, n + 1, dtype=np.int64)
-    bounds = _tau_blocks(_candidate_counts(taus, config.m0, config.max_len), n_series)
-    theta = np.empty((lams.size, n_series, taus.size))
-    lens = np.empty(theta.shape, dtype=np.int64)
-    for lo, hi in zip(bounds, bounds[1:]):
-        block = slice(lo, hi)
-        chosen_len, theta_hat, degenerate = _scan_taus(
-            blocks, taus[block], config.m0, lams, s_gamma, config.max_len
-        )
-        theta_hat[degenerate], chosen_len[degenerate] = np.nan, 0
-        theta[:, :, block], lens[:, :, block] = theta_hat, chosen_len
+    lens, theta, gap = _scan_taus(blocks, taus, config.m0, lams, s_gamma, config.max_len)
+    theta[gap], lens[gap] = np.nan, 0
     return taus, theta, lens
 
 

@@ -144,6 +144,17 @@ class TestIngest:
         err = capsys.readouterr().err
         assert "kind=input" in err and "latin1.csv" in err and "UTF-8" in err
 
+    def test_oversized_cell_is_an_input_error(self, tmp_path, capsys):
+        # over the csv module's default field size limit of 131072 characters,
+        # as a binary or single-line file passed by mistake can be
+        f = tmp_path / "huge.csv"
+        write_lines(f, ["return", "0.1", "-0.2", '"' + "1" * 140_000 + '"', "0.3"])
+        with pytest.raises(InputDataError, match="huge.csv line 4.*field larger than field limit"):
+            ingest_csv(f)
+        assert main(["stats", "--input", str(f), "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "kind=input" in err and "huge.csv" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("cell", ["nan", "NaN", "inf", "-inf", "Infinity"])
     def test_non_finite_cells_are_dropped_like_non_numeric_ones(self, tmp_path, caplog, cell):
         loaded = {}

@@ -1,6 +1,6 @@
 """The block-of-taus scan kernel across its block boundaries and in memory.
 
-_scan_path splits the taus into the consecutive blocks of _tau_blocks,
+_scan_taus splits the taus into the consecutive blocks of _tau_blocks,
 each of at most _BLOCK_ELEMENTS working-set entries (series x taus in the
 block x the block's largest candidate count) unless it is a single tau. A
 property test pins that split; the tests below take their block boundaries
@@ -9,9 +9,19 @@ without max_len, a wide batch whose widest taus take a block each, and a
 long series and a wide batch whose traced peak memory must stay bounded.
 
 Within a block the kernel masks stopped rows and compacts its working set
-once fewer than half of them are live. Rows that drop out at staggered
+once enough of them have stopped. Rows that drop out at staggered
 candidates, a zero block first reached after a compaction, and blocks
 whose rows have different candidate counts pin that path to the reference.
+The compactions helper below models an earlier rule, fewer than half
+live, to pick inputs with staggered stops; the tests that use it check
+agreement with the reference, whichever rule the kernel follows.
+
+A block down to a few live rows hands them to a pool, and the pooled rows
+of many blocks restart in one pass. A wide batch whose rows mostly stop
+early pins that pass to the reference, also where a zero block is reached
+by a pooled straggler under the larger of two thresholds only. A gap is
+decided from a row's first zero block, so one that a masked row gathers
+past its stop must leave no gap.
 
 Several thresholds, in any order, share one scan: the working set holds a
 row while it is live under the largest. Each threshold's results must equal a scan under
@@ -28,6 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lave import estimator
 from lave.errors import DegenerateWindowError
 from lave.estimator import (
     _BLOCK_ELEMENTS,
@@ -376,3 +387,149 @@ def test_experiment_scans_each_gamma_once_and_matches_one_run_per_threshold():
     for key, curve in curves.items():
         for field in vars(curve):
             assert_same_bits(getattr(together.curves[key], field), getattr(curve, field))
+
+
+def record_pooled_rows(monkeypatch):
+    """Spy on _scan_rows: returns a list that collects the destinations
+    (entries of the flat (series, taus) results) of the rows each scan
+    hands to the pool."""
+    handed = []
+    scan = estimator._scan_rows
+
+    def spy(flat_blocks, rows, m0, lams, s_gamma, out, pool=None):
+        before = len(pool) if pool is not None else 0
+        scan(flat_blocks, rows, m0, lams, s_gamma, out, pool)
+        if pool is not None:
+            handed.extend(p[0] for p in pool[before:])
+
+    monkeypatch.setattr(estimator, "_scan_rows", spy)
+    return handed
+
+
+def straggler_batch(rows, n, seed):
+    """Returns whose sigma switches between 1 and 5 every 15 steps, so at
+    almost every tau a row stops early, except every 50th row, which is
+    homogeneous and mostly reaches its last candidate. Returns the draws and
+    the homogeneous rows."""
+    rng = np.random.default_rng(seed)
+    sigma = np.where((np.arange(n) // 15) % 2 == 0, 1.0, 5.0) * np.ones((rows, 1))
+    stragglers = np.arange(0, rows, 50)
+    sigma[stragglers] = 1.0
+    return sigma * rng.standard_normal((rows, n)), stragglers
+
+
+def reference_at(y, tau, m0, lam, params):
+    """(chosen_len, theta_hat) from select_interval, or None where it raises."""
+    try:
+        sel = select_interval(y, tau, m0, lam, params)
+    except DegenerateWindowError:
+        return None
+    return sel.chosen_len, sel.theta_hat
+
+
+def test_stragglers_of_many_blocks_run_in_one_pooled_pass_and_match_the_reference(monkeypatch):
+    rows, n, m0 = 1000, 120, 5
+    returns, stragglers = straggler_batch(rows, n, seed=12)
+    # the larger threshold, which holds the working set, comes second
+    lams = low, high = 0.9, 2.4
+    config = EstimatorConfig(gamma=0.5, m0=m0, lam=high)
+    # 65 entries per series: up to 2 taus of 24 candidates in a block
+    assert len(scan_blocks(n, config, rows)) - 1 > n // m0
+    handed = record_pooled_rows(monkeypatch)
+    taus, sigma_hat, lens = batch_estimate(returns, config, lams=list(lams))
+
+    pooled = np.concatenate(handed)
+    series, column = np.divmod(pooled, taus.size)
+    # the pool gathers rows from many blocks, most of them rows of the
+    # homogeneous series; many of these run to their last candidate
+    assert np.unique(column).size > 20
+    assert np.isin(series, stragglers).mean() > 0.3
+    last = _candidate_counts(taus, m0, None) * m0
+    assert np.count_nonzero(lens[1, series, column] == last[column]) > 100
+    # while most rows of the batch stop early
+    assert np.mean(lens[1] < last) > 0.8
+
+    # every row equals estimate_path on its series alone (one block, no
+    # pool), and each threshold's results equal a scan under it alone
+    monkeypatch.undo()
+    for i in range(rows):
+        path = estimate_path(ReturnSeries(returns[i]), config)
+        assert_same_bits(path.interval_len, lens[1, i])
+        assert_same_bits(path.sigma_hat, sigma_hat[1, i])
+    for i, lam in enumerate(lams):
+        one = batch_estimate(returns, EstimatorConfig(gamma=0.5, m0=m0, lam=lam))
+        assert_same_bits(one[1], sigma_hat[i])
+        assert_same_bits(one[2], lens[i])
+
+    # and pooled rows match select_interval under both thresholds
+    params = power_constants(config.gamma)
+    y = np.abs(returns) ** config.gamma
+    theta = params.c_gamma * sigma_hat**config.gamma
+    for s, j in zip(series[::10], column[::10]):
+        series_y = TransformedSeries(y[s], gamma=config.gamma)
+        for i, lam in enumerate(lams):
+            ref = reference_at(series_y, int(taus[j]), m0, lam, params)
+            assert ref is not None and lens[i, s, j] == ref[0], (s, j, lam)
+            assert abs(theta[i, s, j] - ref[1]) <= 1e-9 * ref[1], (s, j, lam)
+
+
+def test_zero_block_reached_by_a_pooled_straggler_under_the_larger_threshold_only(monkeypatch):
+    rows, n, m0 = 1000, 120, 5
+    returns, stragglers = straggler_batch(rows, n, seed=13)
+    # an all-zero m0-block 12 blocks back from the last tau in a few of the
+    # homogeneous rows: the larger threshold keeps their windows long enough
+    # to reach it, the smaller one stops them before
+    zero_rows = stragglers[:6]
+    returns[zero_rows, n - 60 : n - 55] = 0.0
+    high, low = 2.4, 0.6
+    config = EstimatorConfig(gamma=0.5, m0=m0, lam=high)
+    handed = record_pooled_rows(monkeypatch)
+    taus, sigma_hat, lens = batch_estimate(returns, config, lams=[high, low])
+    monkeypatch.undo()
+
+    series, column = np.divmod(np.concatenate(handed), taus.size)
+    in_zero_rows = np.isin(series, zero_rows)
+    gap_high_only = (lens[0, series, column] == 0) & (lens[1, series, column] > 0)
+    cases = np.flatnonzero(in_zero_rows & gap_high_only)
+    assert cases.size >= 3
+    params = power_constants(config.gamma)
+    y = np.abs(returns) ** config.gamma
+    for s, j in zip(series[cases], column[cases]):
+        series_y = TransformedSeries(y[s], gamma=config.gamma)
+        assert np.isnan(sigma_hat[0, s, j])
+        assert reference_at(series_y, int(taus[j]), m0, high, params) is None
+        assert reference_at(series_y, int(taus[j]), m0, low, params)[0] == lens[1, s, j]
+    for i, lam in enumerate((high, low)):
+        one = batch_estimate(returns, EstimatorConfig(gamma=0.5, m0=m0, lam=lam))
+        assert_same_bits(one[1], sigma_hat[i])
+        assert_same_bits(one[2], lens[i])
+
+
+def test_zero_block_past_a_rows_stop_leaves_no_gap():
+    rows, n, m0 = 40, 120, 5
+    rng = np.random.default_rng(14)
+    # |returns| within 10% of 1: a homogeneous row keeps every candidate
+    returns = rng.uniform(0.9, 1.1, (rows, n)) * rng.choice([-1.0, 1.0], (rows, n))
+    # the first 4 rows jump from 1 to 6 three blocks back from tau = n and
+    # stop there; two blocks further back lies an all-zero block. The other
+    # rows are homogeneous and keep the set scanning to the last candidate,
+    # and with 4 of 40 rows stopped the set is never compacted, so the
+    # stopped rows, masked, gather that zero block too.
+    stopped = np.arange(4)
+    returns[stopped, n - 15 :] *= 6.0
+    returns[stopped, n - 30 : n - 25] = 0.0
+    config = EstimatorConfig(gamma=0.5, m0=m0, lam=2.4)
+    params = power_constants(config.gamma)
+    y = np.abs(returns) ** config.gamma
+
+    chosen, theta, rejected, degenerate = _scan_at_tau(y, n, m0, config.lam, params.s_gamma)
+    assert np.all(rejected[stopped] > 0) and np.all(rejected[stopped] < 30)
+    assert np.all(rejected[4:] == 0)
+    assert not degenerate.any()
+    taus, sigma_hat, lens = batch_estimate(returns, config)
+    for i in range(rows):
+        series_y = TransformedSeries(y[i], gamma=config.gamma)
+        sel = select_interval(series_y, n, m0, config.lam, params)
+        assert chosen[i] == lens[i, -1] == sel.chosen_len, i
+        assert rejected[i] == (sel.rejected_at or 0), i
+        assert abs(theta[i] - sel.theta_hat) <= 1e-9 * sel.theta_hat, i

@@ -17,6 +17,11 @@ same inputs, and an exact tie at the threshold keeps the window in both.
 batch_estimate scans once for several thresholds given in any order, with
 repeats; entry i of its results must equal, bit for bit, the scan under
 the i-th threshold alone.
+
+Under a small block budget the same cases, widened to up to 8 rows, split
+into many blocks whose stragglers run in the kernel's pooled pass; the
+results must keep the bits of the scan at the real budget and match
+select_interval.
 """
 
 from dataclasses import replace
@@ -26,6 +31,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lave import estimator
 from lave.errors import DegenerateWindowError
 from lave.estimator import (
     EstimatorConfig,
@@ -41,7 +47,7 @@ ROWS = 3
 
 
 @st.composite
-def scan_cases(draw):
+def scan_cases(draw, n_rows=st.just(ROWS)):
     m0 = draw(st.sampled_from([1, 2, 3, 10]))
     t0 = draw(st.one_of(st.none(), st.integers(m0, 3 * m0)))
     start = 2 * m0 if t0 is None else t0
@@ -58,9 +64,10 @@ def scan_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     cut = rng.integers(0, n + 1)
     sigma = np.where(np.arange(n) < cut, 1.0, draw(st.sampled_from([0.2, 1.0, 3.0, 5.0])))
-    rows = sigma * rng.standard_normal((ROWS, n))
+    shape = (draw(n_rows), n)
+    rows = sigma * rng.standard_normal(shape)
     if draw(st.booleans()):
-        rows *= 10.0 ** rng.uniform(-6.0, 6.0, (ROWS, n))
+        rows *= 10.0 ** rng.uniform(-6.0, 6.0, shape)
     for row in rows:
         zero_len = draw(st.integers(0, 2 * m0 + 2))
         zero_start = draw(st.integers(0, n))
@@ -162,6 +169,34 @@ def test_thresholds_scanned_together_match_one_scan_each(case, extra, random):
         assert one_taus.tobytes() == taus.tobytes()
         assert one_sigma.tobytes() == sigma[i].tobytes()
         assert one_lens.tobytes() == lens[i].tobytes()
+
+
+# A block budget at which these short series split into many small blocks
+# whose stragglers take the pooled pass: about half of the examples below
+# hand rows to the pool. At the real budget three rows would need series
+# tens of thousands long to get there.
+SMALL_BUDGET = 32
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(scan_cases(n_rows=st.integers(ROWS, 8)), st.floats(0.5, 4.0))
+def test_small_blocks_and_the_pooled_pass_match_select_interval(case, extra):
+    config, rows = case
+    lams = [config.lam, extra]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimator, "_BLOCK_ELEMENTS", SMALL_BUDGET)
+        taus, sigma, lens = batch_estimate(rows, config, lams=lams)
+        one = batch_estimate(rows, replace(config, lam=extra))
+    # the same bits as the scan at the real budget, and as one scan per threshold
+    for got, want in zip((taus, sigma, lens), batch_estimate(rows, config, lams=lams)):
+        assert got.tobytes() == want.tobytes()
+    assert one[1].tobytes() == sigma[1].tobytes() and one[2].tobytes() == lens[1].tobytes()
+    params = power_constants(config.gamma)
+    theta = params.c_gamma * sigma[0] ** config.gamma
+    for i, row in enumerate(rows):
+        y = power_transform(ReturnSeries(row), config.gamma)
+        for j, tau in enumerate(taus):
+            assert_matches(lens[0, i, j], theta[i, j], reference(y, int(tau), config, params))
 
 
 @pytest.mark.parametrize("lams", [[], [2.0, 0.0], [2.0, -1.0], [float("nan")], [[2.0, 3.0]]])
