@@ -18,8 +18,10 @@ uses Newton's method on the exact Hessian: the derivatives of sigma2_t
 follow the recursion d sigma2_t = (1, R_{t-1}^2, sigma2_{t-1}) +
 beta d sigma2_{t-1} with d sigma2_1 = 0, and the second derivatives the
 same recursion driven by d sigma2_{t-1}. From a neighbouring window's
-optimum it converges in about three steps whatever the data. The two
-searches do not always end at the same maximum when the likelihood has
+optimum it converges in about three steps whatever the data. Each
+evaluation forms the Hessian only where a Newton step uses it: the point
+whose gradient meets the tolerance, which ends every refit, skips it. The
+two searches do not always end at the same maximum when the likelihood has
 several. From the default start a local search can take a different local
 maximum than the simplex, so cold fits keep the simplex. It is written out
 here (_nelder_mead) and takes the steps of scipy's Nelder-Mead one for one,
@@ -177,67 +179,96 @@ def _pack(params: GarchParams) -> np.ndarray:
     return np.array([np.log(params.omega), special.logit(q), special.logit(f)])
 
 
+def _expit(x: float) -> float:
+    # scipy.special.expit's formula, and its bits, in Python floats
+    return 1.0 / (1.0 + math.exp(-x))
+
+
 def _unpack(z: np.ndarray) -> GarchParams:
-    # clip keeps exp/expit finite; the box is far wider than any useful fit
-    z = np.clip(z, -40.0, 40.0)
-    omega = float(np.exp(z[0]))
-    q = (1.0 - _MARGIN) * float(special.expit(z[1]))
-    f = float(special.expit(z[2]))
-    return GarchParams(omega=omega, alpha=q * f, beta=q * (1.0 - f))
+    # clip keeps exp/expit finite; the box is far wider than any useful fit.
+    # omega keeps numpy's exp, which rounds differently from math.exp
+    z0, z1, z2 = (min(max(c, -40.0), 40.0) for c in np.asarray(z, dtype=float).tolist())
+    q = (1.0 - _MARGIN) * _expit(z1)
+    f = _expit(z2)
+    return GarchParams(omega=float(np.exp(z0)), alpha=q * f, beta=q * (1.0 - f))
+
+
+def _path_and_cost(params: GarchParams, r2: np.ndarray, sigma0_sq: float):
+    # the variance path and -garch_loglik on squared returns r2
+    s2 = _variance_path(params, r2, sigma0_sq)
+    return s2, 0.5 * float((np.log(s2) + r2 / s2).sum())
+
+
+def _not_finite():
+    # what _loglik_grad_hess returns where a result is not finite
+    return np.inf, np.zeros(3), np.zeros((3, 3))
 
 
 def _loglik_grad_hess(z: np.ndarray, r2: np.ndarray, sigma0_sq: float):
     """Negative log likelihood at _unpack(z) with its gradient and Hessian in z.
 
-    Returns (inf, zeros(3), zeros((3, 3))) where any of them is not finite,
-    so a line search retreats instead of erroring.
+    The Hessian is formed only where a Newton step uses it: at a point
+    whose gradient already meets _GTOL, where _newton_fit stops, it is
+    None. Returns (inf, zeros(3), zeros((3, 3))) where the value, the
+    gradient or a formed Hessian is not finite, so a line search retreats
+    instead of erroring.
     """
     params = _unpack(z)
-    beta = params.beta
-    s2 = _variance_path(params, r2, sigma0_sq)
-    value = 0.5 * float(np.sum(np.log(s2) + r2 / s2))
+    omega, alpha, beta = params.omega, params.alpha, params.beta
+    s2, value = _path_and_cost(params, r2, sigma0_sq)
+    if not math.isfinite(value):
+        return _not_finite()
     # d s2_t / d(omega, alpha, beta) for t >= 2; zero at t = 1
     drives = np.empty((3, r2.size - 1))
     drives[0], drives[1], drives[2] = 1.0, r2[:-1], s2[:-1]
     ds2 = _beta_recursion(beta, drives)
+    s, x = s2[1:], r2[1:]
+    weight = 0.5 * (s - x) / s**2  # d(value) / d s2_t
+    score = ds2 @ weight
+    # chain through _unpack: omega = e^z0, (alpha, beta) = q (f, 1 - f) with
+    # q = (1 - _MARGIN) expit(z1), f = expit(z2); its clip has zero gradient
+    q = alpha + beta
+    tail = 1.0 - q / (1.0 - _MARGIN)  # 1 - expit(z1)
+    split = alpha * beta / q  # q f (1 - f)
+    jacobian = np.array([
+        [omega, 0.0, 0.0],
+        [0.0, alpha * tail, beta * tail],
+        [0.0, split, -split],
+    ])
+    grad = jacobian @ score
+    inside = [abs(c) <= 40.0 for c in np.asarray(z, dtype=float).tolist()]
+    clipped = not all(inside)
+    if clipped:
+        grad = np.where(inside, grad, 0.0)
+    steep = grad.tolist()
+    if not all(map(math.isfinite, steep)):
+        return _not_finite()
+    if max(map(abs, steep)) < _GTOL:
+        return value, grad, None
     # d2 s2_t / d(omega, alpha, beta) d beta: driven by d s2_{t-1}, twice
     # for (beta, beta); every pair without beta has zero second derivative
     lagged = np.zeros_like(ds2)
     lagged[:, 1:] = ds2[:, :-1]
     lagged[2] *= 2.0
     d2s2 = _beta_recursion(beta, lagged)
-    s, x = s2[1:], r2[1:]
-    weight = 0.5 * (s - x) / s**2  # d(value) / d s2_t
     curvature = 0.5 * (2.0 * x - s) / s**3  # d2(value) / d s2_t^2
-    score = ds2 @ weight
     hess = (ds2 * curvature) @ ds2.T
     cross = d2s2 @ weight
     hess[:, 2] += cross
     hess[2, :2] += cross[:2]
-    # chain through _unpack: omega = e^z0, (alpha, beta) = q (f, 1 - f) with
-    # q = (1 - _MARGIN) expit(z1), f = expit(z2); its clip has zero gradient
-    q = params.persistence
-    tail = 1.0 - q / (1.0 - _MARGIN)  # 1 - expit(z1)
-    split = params.alpha * beta / q  # q f (1 - f)
-    jacobian = np.array([
-        [params.omega, 0.0, 0.0],
-        [0.0, params.alpha * tail, beta * tail],
-        [0.0, split, -split],
-    ])
-    grad = jacobian @ score
     hess = jacobian @ hess @ jacobian.T
     # second derivatives of _unpack, weighted by the score
-    tilt = score[1] - score[2]
-    hess[0, 0] += params.omega * score[0]
-    hess[1, 1] += tail * (2.0 * tail - 1.0) * (params.alpha * score[1] + beta * score[2])
+    s_omega, s_alpha, s_beta = score.tolist()
+    tilt = s_alpha - s_beta
+    hess[0, 0] += omega * s_omega
+    hess[1, 1] += tail * (2.0 * tail - 1.0) * (alpha * s_alpha + beta * s_beta)
     hess[1, 2] += split * tail * tilt
     hess[2, 1] += split * tail * tilt
-    hess[2, 2] += split * (1.0 - 2.0 * params.alpha / q) * tilt
-    inside = np.abs(z) <= 40.0
-    grad = np.where(inside, grad, 0.0)
-    hess = hess * np.outer(inside, inside)
-    if not (np.isfinite(value) and np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
-        return np.inf, np.zeros(3), np.zeros((3, 3))
+    hess[2, 2] += split * (1.0 - 2.0 * alpha / q) * tilt
+    if clipped:
+        hess = hess * np.outer(inside, inside)
+    if not all(map(math.isfinite, hess.ravel().tolist())):
+        return _not_finite()
     return value, grad, hess
 
 
@@ -259,14 +290,14 @@ def _newton_fit(z: np.ndarray, r2: np.ndarray, sigma0_sq: float) -> GarchParams:
     accepted too.
     """
     value, grad, hess = _loglik_grad_hess(z, r2, sigma0_sq)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise GarchConvergenceError(
             "fit did not converge: log likelihood is not finite at the start",
             best_params=_unpack(z),
             best_loglik=-value,
         )
     for _ in range(_MAX_NEWTON_STEPS):
-        if float(np.max(np.abs(grad))) < _GTOL:
+        if max(map(abs, grad.tolist())) < _GTOL:
             return _unpack(z)
         eigval, eigvec = np.linalg.eigh(hess)
         scale = max(float(np.max(np.abs(eigval))), 1.0)
@@ -279,7 +310,7 @@ def _newton_fit(z: np.ndarray, r2: np.ndarray, sigma0_sq: float) -> GarchParams:
                 break
             t *= 0.5
             if t < 1e-10:
-                if float(np.max(np.abs(grad))) < _STALL_GTOL:
+                if max(map(abs, grad.tolist())) < _STALL_GTOL:
                     return _unpack(z)
                 raise GarchConvergenceError(
                     "fit did not converge: line search found no decrease",
@@ -423,14 +454,18 @@ def garch_fit(r: ReturnSeries, init: GarchParams | None = None) -> GarchParams:
     sigma0_sq = float(np.var(values))
     if not (sigma0_sq > 0.0):
         raise ValueError("sample variance must be positive")
+    r2 = values**2
     if init is not None:
-        return _newton_fit(_pack(init), values**2, sigma0_sq)
+        return _newton_fit(_pack(init), r2, sigma0_sq)
 
     def objective(z):
+        # -garch_loglik(_unpack(z), r, sigma0_sq) on the window squared once;
+        # invalid or non-finite: retreat instead of erroring mid-search
         try:
-            return -garch_loglik(_unpack(z), r, sigma0_sq)
-        except ValueError:  # non-finite: retreat instead of erroring mid-search
+            _, value = _path_and_cost(_unpack(z), r2, sigma0_sq)
+        except ValueError:
             return 1e12
+        return value if math.isfinite(value) else 1e12
 
     x, fun, status = _nelder_mead(
         objective,

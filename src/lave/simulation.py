@@ -220,6 +220,41 @@ def detection_delays(taus, lens, change_point: int, m0: int) -> np.ndarray:
     return np.where(collapsed.any(axis=1), delays, np.nan)
 
 
+def _score_gamma(returns, sigma, config, entries, wanted):
+    """The cells and the wanted curves of one gamma's (m_label, lam) entries,
+    all from one batch_estimate scan of the draws. The scan's results are
+    dropped on return, so the next gamma's scan does not run beside them."""
+    gamma = config.gamma
+    cells, curves = [], {}
+    taus, sigma_hats, lens_all = batch_estimate(
+        returns, config, lams=[lam for _, lam in entries]
+    )
+    if not np.all(np.isfinite(sigma_hats)):
+        raise DegenerateWindowError(
+            "degenerate window inside the scored range"
+        )
+    for (m_label, lam), sigma_hat, lens in zip(entries, sigma_hats, lens_all):
+        err = float(np.sum(((sigma_hat - sigma[taus - 1]) / sigma[taus - 1]) ** 2))
+        cells.append(
+            ExperimentCell(gamma=gamma, lam=lam, m_label=m_label, error=err)
+        )
+        if (gamma, m_label) not in wanted:
+            continue
+        q25, med, q75 = np.percentile(sigma_hat, [25.0, 50.0, 75.0], axis=0)
+        l25, lmed, l75 = np.percentile(lens, [25.0, 50.0, 75.0], axis=0)
+        curves[(gamma, m_label)] = CurveTable(
+            taus=taus,
+            sigma_true=sigma[taus - 1],
+            sigma_median=med,
+            sigma_q25=q25,
+            sigma_q75=q75,
+            len_median=lmed,
+            len_q25=l25,
+            len_q75=l75,
+        )
+    return cells, curves
+
+
 def run_change_point_experiment(
     design: ChangePointSpec,
     lambdas: Mapping,
@@ -263,34 +298,10 @@ def run_change_point_experiment(
     curves = {}
     for gamma in dict.fromkeys(g for g, _ in lambdas):
         entries = [(int(m), float(lam)) for (g, m), lam in sorted(lambdas.items()) if g == gamma]
-        # one scan of the draws serves every threshold of this gamma
         config = EstimatorConfig(gamma=gamma, m0=m0, lam=entries[0][1], t0=t_start)
-        taus, sigma_hats, lens_all = batch_estimate(
-            returns, config, lams=[lam for _, lam in entries]
-        )
-        if not np.all(np.isfinite(sigma_hats)):
-            raise DegenerateWindowError(
-                "degenerate window inside the scored range"
-            )
-        for (m_label, lam), sigma_hat, lens in zip(entries, sigma_hats, lens_all):
-            err = float(np.sum(((sigma_hat - sigma[taus - 1]) / sigma[taus - 1]) ** 2))
-            cells.append(
-                ExperimentCell(gamma=gamma, lam=lam, m_label=m_label, error=err)
-            )
-            if (gamma, m_label) not in wanted:
-                continue
-            q25, med, q75 = np.percentile(sigma_hat, [25.0, 50.0, 75.0], axis=0)
-            l25, lmed, l75 = np.percentile(lens, [25.0, 50.0, 75.0], axis=0)
-            curves[(gamma, m_label)] = CurveTable(
-                taus=taus,
-                sigma_true=sigma[taus - 1],
-                sigma_median=med,
-                sigma_q25=q25,
-                sigma_q75=q75,
-                len_median=lmed,
-                len_q25=l25,
-                len_q75=l75,
-            )
+        gamma_cells, gamma_curves = _score_gamma(returns, sigma, config, entries, wanted)
+        cells += gamma_cells
+        curves.update(gamma_curves)
     return ExperimentResult(
         design=design,
         replications=replications,

@@ -330,6 +330,75 @@ def _benchmark_returns(seed: int, n: int = 600) -> np.ndarray:
     return r[burn:]
 
 
+# every forecast rolling_forecast makes on _benchmark_returns(7), window 350,
+# frozen from the warm refits that formed the Hessian at every evaluation
+_BENCHMARK_7_FORECASTS = (
+    0.9755618842774176, 0.9759399101837386, 0.9945504763078544, 0.9704482195587827,
+    0.9539691336986883, 0.9343834998864533, 0.9848563286169134, 0.9630179782338958,
+    0.9598865137055475, 0.9437926288258356, 0.9177077550886897, 0.8917677333798861,
+    0.867525864592605, 0.877526892104614, 0.8912714950829156, 0.8673117440537752,
+    0.8385139319924555, 0.8132290201699057, 0.7935847160095096, 0.8181836422596573,
+    0.8041866990625146, 0.8325283479558176, 0.8072058713251665, 0.7830668700540853,
+    0.7606041874899871, 0.748104748096571, 0.7299939091343057, 0.7044407541408633,
+    0.6800593805710501, 0.6528370622668359, 0.6237355470901585, 0.5858621279922728,
+    0.5504855469275147, 0.5681402628872663, 0.5343364275762684, 0.5341257876543072,
+    0.5141823176988081, 0.5368859082924861, 0.49825318317134315, 0.4684722359037586,
+    0.47979330494480565, 0.4420750205699701, 0.5094338073496425, 0.5701397529022757,
+    0.5340242371069336, 0.5408494108499032, 0.5026112493133343, 0.5981548669355016,
+    0.5673654236995531, 0.5462614524849306, 0.5323611889595685, 0.504589579497376,
+    0.5062752940851092, 0.5553773539860116, 0.5152810359372281, 0.5812939616027589,
+    0.5419550518828313, 0.5924838409241001, 0.6165924406595519, 0.5823906638589218,
+    0.5437741847057427, 0.5163656186165755, 0.5128718443931273, 0.4780414734938296,
+    0.5208705885228362, 0.4868507541556495, 0.5569434821619149, 0.5413089011161426,
+    0.5222703223089961, 0.48585268699002465, 0.4915292544916025, 0.8145546301970973,
+    0.809977651035069, 0.8220620177969857, 0.8154926455988553, 0.9451982460802469,
+    0.9917101609422893, 1.0396257774364768, 1.3162072305246226, 1.214440941394943,
+    1.1625447526801633, 1.0855541985451431, 1.148703167559736, 1.0966667808921018,
+    1.2376385970307369, 1.156786034603401, 1.0904871181041593, 1.0617442758312254,
+    0.9997140029042625, 0.9682551214705019, 0.9233197911886555, 0.9257057698032032,
+    0.9720724118862366, 0.9331832261054833, 0.887404842652501, 0.9015361097525215,
+    0.8983814297959789, 0.8885746960589375, 1.0068327877132974, 0.9501926018570916,
+    0.9095226968288994, 0.9013001297840386, 0.8571115128312138, 0.8108237887783304,
+    0.7698350673886751, 0.7507462913198163, 0.9571452316828754, 0.9158614144826546,
+    0.8718246096682778, 0.8388056189874739, 0.7976688830499048, 0.8151601746478021,
+    0.7780565487903371, 0.7709553856511052, 0.7376293887633215, 0.7295190179832938,
+    0.7351108839083778, 0.7093543795465596, 0.7209779458959862, 0.718832074549846,
+    0.7036305925446675, 0.6681200032255711, 0.647821124091744, 0.6446675291334037,
+    0.6736341033862371, 0.6898029547105968, 0.7915690528728908, 0.79883512437423,
+    0.895791080456512, 0.8547928018964328, 0.8259635347782198, 0.8426125029658136,
+    0.7961056869259265, 0.985342800213814, 0.9358770989455364, 0.8783379082997698,
+    0.8520666777111611, 0.8056802191740281, 0.7622818363581325, 0.7428645625897632,
+    0.8259740675234577, 0.9028907402934936, 0.8588143523692383, 0.8707922893406325,
+    0.8330098061737037, 0.7962756540862491, 0.7715985043202509, 0.7990973489601434,
+    0.7945683788572006, 0.8738605590033989, 0.826588295868457, 0.95224840473762,
+    0.9993406714007913, 0.9794292666164567, 0.9659037767421427, 0.9185396975180955,
+    1.0410042760499345, 1.3560588366789434, 1.2665485141631414, 1.4250271929381564,
+    1.3156015584951268, 1.4790356936727178, 1.4123372805644565, 1.3004441767826924,
+    1.2099450468095556, 1.1216356561743324, 1.0719682794625243, 1.1029721253681077,
+    1.16737116289611, 1.0881157520519416, 1.0255353498572788, 0.9674989274835502,
+    0.9111651732810968, 0.8487915078082799, 0.8797351656463924, 0.8696714568951504,
+    0.8151490082292998, 0.7778519404853922, 0.8743690915168887, 0.8495095811714433,
+    0.7969416157239503, 0.7834794799881916, 0.7781114639829103, 0.7271995858885224,
+    0.6765044738286474, 0.6644285425201207, 0.7645527763282008, 0.7189235692471712,
+    0.7560400286209356, 0.7869084091175633, 0.8449146721142924, 0.8457861804863924,
+    0.9424781711674575, 1.0022015850945443, 0.9250611688661718, 0.8924520035349764,
+    0.8631902618800478, 0.8003165531609654, 0.7439806342095321, 0.7462284634527119,
+    0.7112118877487462, 0.7233436689560322, 0.7180370243975243, 0.7056565218989918,
+    0.6591706951422901, 0.7388231260184094, 0.6862732150038452, 0.6400247643836664,
+    0.6243881325900139, 0.6049076231835013, 0.9435360186746385, 0.8746981845848874,
+    0.8763561031792095, 0.83618725626289, 0.8073007115439448, 0.754281011045262,
+    0.7379485774973427, 0.8427626301244124, 0.9099058285723504, 0.8483389247655928,
+    0.7913372009843407, 0.7503990754646284, 0.7616972614429053, 0.7322588969714178,
+    0.7912911549183833, 0.7520020763532151, 1.1092474312606888, 1.0684259885606138,
+    1.0432273945631292, 1.0010163913135655, 0.9548920330840429, 0.920749621976255,
+    0.8611010202919126, 0.8267031951389823, 0.7932198842158743, 0.7456773166802906,
+    0.7012384100453734, 0.7151710058847958, 0.688769757025441, 0.6647076701240144,
+    0.7298399300930516, 0.7347634131688355, 0.6912298595927554, 0.6992318347594662,
+    0.6989577113794863, 0.6707806983590248, 0.6293191803391501, 0.5956579758183663,
+    0.5626714173271253, 0.6051146898814879,
+)
+
+
 def _direct_path(params, values, sigma0_sq):
     # sigma2_t = omega + alpha R_{t-1}^2 + beta sigma2_{t-1} in Python floats
     path = [float(sigma0_sq)]
@@ -468,6 +537,39 @@ class TestWarmFits:
         assert t == 599
         assert last == pytest.approx(0.6051146777082796, rel=1e-6)
 
+    def test_every_forecast_on_the_benchmark_input_is_frozen_bit_for_bit(self):
+        rf = rolling_forecast(ReturnSeries(_benchmark_returns(7)), window=350)
+        assert [t for t, _ in rf.forecasts] == list(range(350, 600))
+        assert tuple(fc for _, fc in rf.forecasts) == _BENCHMARK_7_FORECASTS
+
+    def test_only_the_converged_point_of_a_warm_refit_goes_without_a_hessian(
+        self, monkeypatch
+    ):
+        # the Hessian is formed only where a Newton step may use it: every
+        # refit ends at one evaluation whose gradient meets _GTOL
+        real = garch_mod._loglik_grad_hess
+        skipped = []
+
+        def recording(z, r2, sigma0_sq):
+            value, grad, hess = real(z, r2, sigma0_sq)
+            skipped[-1].append(hess is None)
+            if hess is None:
+                assert np.max(np.abs(grad)) < garch_mod._GTOL
+            return value, grad, hess
+
+        real_fit = garch_mod.garch_fit
+
+        def fit(r, init=None):
+            skipped.append([])
+            return real_fit(r, init=init)
+
+        monkeypatch.setattr(garch_mod, "_loglik_grad_hess", recording)
+        monkeypatch.setattr(garch_mod, "garch_fit", fit)
+        rolling_forecast(ReturnSeries(_benchmark_returns(7)), window=350)
+        warm = skipped[1:]
+        assert len(warm) == 249 and skipped[0] == []
+        assert all(refit[-1] and not any(refit[:-1]) for refit in warm)
+
     def test_every_warm_refit_takes_a_few_newton_steps(self, monkeypatch):
         # the cost of a refit hardly depends on the data: measured 3 to 10
         # evaluations, 4.13 on average, over the 249 warm refits here
@@ -542,6 +644,19 @@ def _cold_problem(monkeypatch, values):
         fitted = garch_fit(ReturnSeries(values))
     (func, x0, options), = seen
     return func, x0, options, fitted
+
+
+def test_cold_objective_is_the_negative_loglik_or_the_retreat(monkeypatch):
+    # the simplex's objective squares the window once per fit; its values
+    # must be -garch_loglik's, and 1e12 where that raises
+    values = _window("benchmark", 2)
+    func, x0, _, _ = _cold_problem(monkeypatch, values)
+    r, s0 = ReturnSeries(values), float(np.var(values))
+    points = np.random.default_rng(3).normal(x0, 4.0, (200, 3))
+    for z in (x0, *points, np.array([45.0, -45.0, 50.0])):
+        assert func(z) == -garch_loglik(garch_mod._unpack(z), r, s0)
+    # a nan coordinate leaves omega nan, which GarchParams refuses
+    assert func(np.array([np.nan, 0.0, 0.0])) == 1e12
 
 
 def _walled(func, x0, radius):

@@ -12,9 +12,12 @@ Within a block the kernel masks stopped rows and compacts its working set
 once enough of them have stopped. Rows that drop out at staggered
 candidates, a zero block first reached after a compaction, and blocks
 whose rows have different candidate counts pin that path to the reference.
-The compactions helper below models an earlier rule, fewer than half
-live, to pick inputs with staggered stops; the tests that use it check
-agreement with the reference, whichever rule the kernel follows.
+The compactions helper below models the kernel's rule at one tau, so
+the tests that use it pick inputs with staggered stops and check that the
+kernel's partial write-outs happen where it predicts. On 120 rows the
+masked split entries stay below the step cost _STEP_ENTRIES, so those
+tests lower it; its value changes when the kernel compacts, never what it
+returns.
 
 A block down to a few live rows hands them to a pool, and the pooled rows
 of many blocks restart in one pass. A wide batch whose rows mostly stop
@@ -176,20 +179,42 @@ def assert_batch_matches_estimate_path(returns, config):
 
 
 def compactions(stops):
-    """Candidates at which the working set of rows that stay live through
-    candidate stops[i] is compacted: fewer than half of its rows are live."""
+    """Candidates at which _scan_rows, scanning one tau without a pool,
+    compacts the working set of rows that stay live through candidate
+    stops[i]: fewer than 3/4 of its rows are live and the masked rows'
+    split entries, (held - live) x k, exceed estimator._STEP_ENTRIES."""
     held, at = stops.size, []
     for k in range(2, int(stops.max()) + 1):
         live = int(np.count_nonzero(stops >= k))
-        if 0 < live and 2 * live < held:
+        if 0 < live and 4 * live < 3 * held and (held - live) * k > estimator._STEP_ENTRIES:
             held = live
             at.append(k)
     return at
 
 
+def record_partial_write_outs(monkeypatch):
+    """Spy on _write_rows: returns a list that collects, for each write-out,
+    whether it wrote only some of the working set's rows, as a compaction
+    does, rather than all of them at the end of a scan."""
+    partial = []
+    write = estimator._write_rows
+
+    def spy(out, m0, rows, chosen, state, first_zero, cols):
+        partial.append(cols.size < rows.shape[1])
+        write(out, m0, rows, chosen, state, first_zero, cols)
+
+    monkeypatch.setattr(estimator, "_write_rows", spy)
+    return partial
+
+
 @pytest.mark.parametrize("m0, n", [(1, 60), (3, 90)])
-def test_staggered_drop_outs_compact_the_working_set_and_match_the_reference(m0, n):
+def test_staggered_drop_outs_compact_the_working_set_and_match_the_reference(
+    monkeypatch, m0, n
+):
     rows = 120
+    # 120 rows of at most 60 candidates rarely mask 2**12 split entries; a
+    # smaller step cost lets the set compact at staggered candidates
+    monkeypatch.setattr(estimator, "_STEP_ENTRIES", 256)
     rng = np.random.default_rng(5 + m0)
     # |returns| stay within 10% of sigma, which jumps from 1 to 6 at evenly
     # staggered times: at tau = n each row keeps its window until it
@@ -206,12 +231,13 @@ def test_staggered_drop_outs_compact_the_working_set_and_match_the_reference(m0,
     params = power_constants(config.gamma)
     y = np.abs(returns) ** config.gamma
 
+    partial = record_partial_write_outs(monkeypatch)
     chosen, theta, rejected, degenerate = _scan_at_tau(
         y, n, m0, config.lam, params.s_gamma
     )
     stops = np.where(rejected > 0, rejected, chosen) // m0
     compacted_at = compactions(stops)
-    assert len(compacted_at) >= 2
+    assert sum(partial) == len(compacted_at) >= 2
     assert compacted_at[0] < depth and np.all(stops[zero_rows] >= depth)
     assert degenerate[zero_rows].all() and not degenerate[: rows - 20].any()
 
@@ -279,7 +305,7 @@ def assert_same_bits(a, b):
     assert a.tobytes() == b.tobytes()
 
 
-def test_thresholds_scanned_together_match_one_scan_each_through_compactions():
+def test_thresholds_scanned_together_match_one_scan_each_through_compactions(monkeypatch):
     rows, n, m0 = 1200, 90, 3
     # the last block is the scan at tau = n alone
     bounds = scan_blocks(n, EstimatorConfig(gamma=0.5, m0=m0, lam=2.4), rows)
@@ -300,9 +326,11 @@ def test_thresholds_scanned_together_match_one_scan_each_through_compactions():
     y = np.abs(returns) ** config.gamma
 
     stops, flags = {}, {}
+    partial = record_partial_write_outs(monkeypatch)
     for lam in (low, high):
         chosen, _, rejected, flags[lam] = _scan_at_tau(y, n, m0, lam, s_gamma)
         stops[lam] = np.where(rejected > 0, rejected, chosen) // m0
+    assert sum(partial) == len(compactions(stops[low])) + len(compactions(stops[high]))
     compacted_at = compactions(stops[high])
     assert len(compacted_at) >= 2
     for k in compacted_at:
@@ -326,8 +354,10 @@ def test_thresholds_scanned_together_match_one_scan_each_through_compactions():
 
 
 @pytest.mark.parametrize("lams", [(2.4, 0.6, 0.9), (0.6, 2.4, 0.9)])
-def test_scan_taus_takes_the_largest_threshold_anywhere_in_lams(lams):
+def test_scan_taus_takes_the_largest_threshold_anywhere_in_lams(monkeypatch, lams):
     rows, n, m0 = 120, 90, 3
+    # as in the staggered test, a smaller step cost lets 120 rows compact
+    monkeypatch.setattr(estimator, "_STEP_ENTRIES", 256)
     rng = np.random.default_rng(9)
     jumps = np.linspace(n - 3 * m0, 4 * m0, rows).astype(int)
     sigma = np.where(np.arange(n) >= jumps[:, None], 6.0, 1.0)
@@ -346,7 +376,10 @@ def test_scan_taus_takes_the_largest_threshold_anywhere_in_lams(lams):
                for k in compacted_at for lam in lams)
 
     blocks, taus = _block_sums(y, m0), np.array([n])
+    partial = record_partial_write_outs(monkeypatch)
     together = _scan_taus(blocks, taus, m0, np.array(lams), s_gamma)
+    # the shared scan compacts where the largest threshold's rows stop
+    assert sum(partial) == len(compacted_at)
     for i, lam in enumerate(lams):
         one = _scan_taus(blocks, taus, m0, np.array([lam]), s_gamma)
         for shared, alone in zip(together, one):

@@ -7,6 +7,8 @@ delays shrink as the jump grows (medians 11.5 / 8.0 / 5.0 for jumps to
 sigma 2 / 3 / 5 over 200 replications).
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -288,6 +290,26 @@ class TestExperimentHarness:
             for field in vars(full.curves[key]):
                 a, b = getattr(one.curves[key], field), getattr(full.curves[key], field)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (key, field)
+
+    def test_each_gammas_scan_results_are_dropped_before_the_next_scan(self):
+        # one gamma's scan returns sigma_hat and lens for its two thresholds,
+        # 2 x 1000 x 221 x 16 bytes = 6.7 MB; the next gamma's scan must not
+        # run while they are still held
+        design = ChangePointSpec(segments=TWO_JUMP_3X, seed=0)
+        half = {(0.5, 40): 2.40, (0.5, 80): 2.74}
+        unit = {(1.0, 40): 2.24, (1.0, 80): 2.58}
+        peaks = []
+        for lambdas in (half, unit, {**half, **unit}):
+            tracemalloc.start()
+            try:
+                run_change_point_experiment(
+                    design, lambdas, replications=1000, seed=1, curves_for=[]
+                )
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        one_scan = 2 * 1000 * 221 * 16
+        assert peaks[2] < max(peaks[:2]) + one_scan / 4
 
     def test_curves_for_a_key_not_run_is_an_error(self):
         design = ChangePointSpec(segments=TWO_JUMP_3X)
