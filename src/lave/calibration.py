@@ -27,6 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# default_rng's numpy.random, with the secrets and hashlib it imports, loads
+# with this module, so that cost falls at start-up rather than in the first
+# calibration
+import numpy.random  # noqa: F401
 
 from .errors import CalibrationBracketError
 from .estimator import _block_sums, _split_terms, _test_terms

@@ -11,7 +11,7 @@ starts with '#' lines that echo the parsed configuration as a shell-quoted
 flag string (shlex.join); parsing its shlex.split reproduces the same
 RunConfig, so a run is fully described by its own output header. The
 header always carries --seed: $LAVE_SEED only supplies its default. Every
-CSV cell is formatted in _write_csv. Exit codes: 0 success, 2 usage,
+CSV column is formatted in _write_csv. Exit codes: 0 success, 2 usage,
 3 input data, 4 domain or numeric, 5 nonconvergence.
 """
 
@@ -19,6 +19,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+# argparse translates its messages through gettext, which loads locale when
+# the first parser is built; loaded here, so that cost falls at start-up
+import locale  # noqa: F401
 import logging
 import math
 import os
@@ -26,6 +29,7 @@ import shlex
 import sys
 import time
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -366,8 +370,9 @@ def _header_lines(cfg: RunConfig) -> list[str]:
     return lines
 
 
-def _write_csv(cfg: RunConfig, name: str, columns, rows) -> Path:
-    """Write rows under the config header, every cell formatted by _fmt."""
+def _write_csv(cfg: RunConfig, name: str, header, columns) -> Path:
+    """Write columns under the config header, each formatted whole by
+    _format_column."""
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     path = out / name
@@ -375,16 +380,20 @@ def _write_csv(cfg: RunConfig, name: str, columns, rows) -> Path:
         for line in _header_lines(cfg):
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(map(_fmt, row) for row in rows)
+        writer.writerow(header)
+        writer.writerows(zip(*map(_format_column, columns)))
     return path
 
 
-def _fmt(x) -> str:
-    """A float (np.float64 too) rounded to 12 digits; anything else by str."""
-    if isinstance(x, float):
-        return repr(round(float(x), 12))
-    return str(x)
+def _format_column(column) -> list[str]:
+    """The cells of a column: a float (np.float64 too) rounded to 12 digits,
+    anything else by str. An array column is converted by one tolist()."""
+    if isinstance(column, np.ndarray):
+        values = column.tolist()
+        if column.dtype.kind == "f":
+            return list(map(repr, map(round, values, repeat(12))))
+        return list(map(str, values))
+    return [repr(round(float(x), 12)) if isinstance(x, float) else str(x) for x in column]
 
 
 def _require_input(cfg: RunConfig) -> ReturnSeries:
@@ -402,7 +411,7 @@ def _cmd_constants(cfg: RunConfig) -> Path:
         p = power_constants(g)
         a = "" if p.a_gamma is None else p.a_gamma
         rows.append([g, p.c_gamma, p.d_gamma**2, p.s_gamma, a])
-    return _write_csv(cfg, "constants.csv", ["gamma", "c", "d_squared", "s", "a"], rows)
+    return _write_csv(cfg, "constants.csv", ["gamma", "c", "d_squared", "s", "a"], zip(*rows))
 
 
 def _cmd_calibrate(cfg: RunConfig) -> Path:
@@ -413,7 +422,7 @@ def _cmd_calibrate(cfg: RunConfig) -> Path:
         cfg,
         "calibrate.csv",
         ["gamma", "M", "m0", "alpha", "lam", "achieved_rate", "replications", "ci_halfwidth"],
-        [row],
+        zip(row),
     )
 
 
@@ -421,8 +430,8 @@ def _cmd_estimate(cfg: RunConfig) -> Path:
     r = _require_input(cfg)
     config, _ = _estimator_config(cfg)
     path = estimate_path(r, config)
-    rows = zip(path.taus, path.sigma_hat, path.interval_len)
-    return _write_csv(cfg, "estimate.csv", ["t", "sigma_hat", "interval_len"], rows)
+    columns = [path.taus, path.sigma_hat, path.interval_len]
+    return _write_csv(cfg, "estimate.csv", ["t", "sigma_hat", "interval_len"], columns)
 
 
 def _cmd_simulate(cfg: RunConfig) -> Path:
@@ -451,20 +460,20 @@ def _cmd_simulate(cfg: RunConfig) -> Path:
     )
     err_rows = [[c.gamma, c.lam, c.m_label, c.error] for c in result.cells]
     errors_path = _write_csv(
-        cfg, "errors.csv", ["gamma", "lambda", "M_label", "error"], err_rows
+        cfg, "errors.csv", ["gamma", "lambda", "M_label", "error"], zip(*err_rows)
     )
 
     curve = result.curves[curves_key]
-    curve_rows = zip(
+    curve_columns = [
         curve.taus, curve.sigma_true, curve.sigma_median, curve.sigma_q25,
         curve.sigma_q75, curve.len_median, curve.len_q25, curve.len_q75,
-    )
+    ]
     _write_csv(
         cfg,
         "curves.csv",
         ["t", "sigma_true", "sigma_hat_median", "q25", "q75",
          "len_median", "len_q25", "len_q75"],
-        curve_rows,
+        curve_columns,
     )
     return errors_path
 
@@ -481,12 +490,15 @@ def _cmd_backtest(cfg: RunConfig) -> Path:
         cfg,
         "comparison.csv",
         ["label", "gamma", "M_label", "ratio", "lave_score", "garch_score", "t0", "p"],
-        [[label, cfg.gamma, m_label, comparison.ratio, comparison.lave_score,
-          comparison.garch_score, comparison.t0, comparison.p]],
+        zip([label, cfg.gamma, m_label, comparison.ratio, comparison.lave_score,
+             comparison.garch_score, comparison.t0, comparison.p]),
     )
-    rows = [(t, lave, garch, r.values[t] ** 2) for t, lave, garch in comparison.forecasts]
+    t, lave, garch = map(np.array, zip(*comparison.forecasts))
     return _write_csv(
-        cfg, "forecasts.csv", ["t", "lave_sigma_sq", "garch_sigma_sq", "r_sq_next"], rows
+        cfg,
+        "forecasts.csv",
+        ["t", "lave_sigma_sq", "garch_sigma_sq", "r_sq_next"],
+        [t, lave, garch, r.values[t] ** 2],
     )
 
 
@@ -498,14 +510,14 @@ def _cmd_stats(cfg: RunConfig) -> Path:
         cfg,
         "stats.csv",
         ["label", "n", "mean", "variance", "skewness", "kurtosis"],
-        [[label, s.n, s.mean, s.variance, s.skewness, s.kurtosis]],
+        zip([label, s.n, s.mean, s.variance, s.skewness, s.kurtosis]),
     )
 
 
 def _cmd_acf(cfg: RunConfig) -> Path:
     r = _require_input(cfg)
     values = acf(np.abs(r.values), cfg.max_lag)
-    path = _write_csv(cfg, "acf.csv", ["lag", "value"], enumerate(values))
+    path = _write_csv(cfg, "acf.csv", ["lag", "value"], [np.arange(values.size), values])
     if cfg.standardize:
         config, _ = _estimator_config(cfg)
         est = estimate_path(r, config)
@@ -513,7 +525,10 @@ def _cmd_acf(cfg: RunConfig) -> Path:
         full[est.taus - 1] = est.sigma_hat
         z = standardized_returns(r, full)
         std_values = acf(np.abs(z), min(cfg.max_lag, z.size - 1))
-        _write_csv(cfg, "acf_standardized.csv", ["lag", "value"], enumerate(std_values))
+        _write_csv(
+            cfg, "acf_standardized.csv", ["lag", "value"],
+            [np.arange(std_values.size), std_values],
+        )
     return path
 
 

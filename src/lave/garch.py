@@ -4,10 +4,11 @@ and the rolling one-step-ahead forecast pipeline.
 The variance recursion is sigma2_t = omega + alpha * R_{t-1}^2 +
 beta * sigma2_{t-1} with sigma2_1 supplied by the caller. It and the
 recursions of its derivatives below, all of the form y_t = x_t +
-beta y_{t-1}, run as solves of the unit lower-bidiagonal system
-(I - beta S) y = x, S the one-step shift, by LAPACK's tridiagonal dgtsv.
-For beta <= 1 dgtsv swaps no rows, so it rounds exactly as the recursion
-does and equals it bit for bit (see _beta_recursion). Fitting maximizes
+beta y_{t-1}, run as blocked scans in numpy (_beta_recursion): blocks of
+at most 25 values are each solved by a small matmul, and the block ends
+carry forward by the same scan. Their drives are nonnegative, so each
+value is within 16 sqrt(n) eps of the exact solution, relative; the scan
+rounds differently from the step-by-step recursion. Fitting maximizes
 the Gaussian log likelihood on an unconstrained reparameterization
 (log omega, logit persistence, logit split), which keeps every iterate
 inside {omega > 0, alpha >= 0, beta >= 0, alpha + beta <= 1 - 1e-6}.
@@ -39,8 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
-from scipy.linalg import lapack
 
 from .errors import GarchConvergenceError
 from .series import ReturnSeries
@@ -104,48 +103,92 @@ class RollingForecast:
 def garch_filter(params: GarchParams, r: ReturnSeries, sigma0_sq: float) -> np.ndarray:
     """Variance path sigma2_1..sigma2_n with sigma2_1 = sigma0_sq.
 
-    The recursion in the beta-lag is linear, so it runs as one bidiagonal
-    solve (LAPACK dgtsv) instead of a Python loop, with the same result bit
-    for bit: see _beta_recursion.
+    The recursion in the beta-lag is linear, so it runs as a blocked scan
+    in numpy instead of a Python loop, within 16 sqrt(n) eps of the exact
+    path, relative: see _beta_recursion.
     """
     if not (sigma0_sq > 0.0):
         raise ValueError(f"sigma0_sq must be positive, got {sigma0_sq}")
     return _variance_path(params, r.values**2, sigma0_sq)
 
 
-@functools.lru_cache(maxsize=8)
-def _unit_bands(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # diagonal and superdiagonal of I - beta S; dgtsv copies them, as their
-    # overwrite flags are left off, so one read-only pair serves every call
-    d, du = np.ones(n), np.zeros(n - 1)
-    d.flags.writeable = du.flags.writeable = False
-    return d, du
+# longest block of the blocked scan in _beta_recursion; a 350-value
+# window is 14 blocks of 25
+_BLOCK = 25
+# _TOEPLITZ[j, i] = i - j where i >= j, else -1: indices into the powers
+# beta^0..beta^b of a block, followed by a zero
+_TOEPLITZ = np.maximum(np.arange(_BLOCK) - np.arange(_BLOCK)[:, None], -1)
+_EXPONENTS = np.arange(_BLOCK + 1.0)
+# the scan runs where n max|x_t|, which bounds every value it forms, is below
+_SCAN_BOUND = 1e300
+
+
+def _block_solver(beta: float, b: int):
+    # the b x b matrix of beta^(i - j), i >= j, that solves a block of b
+    # from zero (rows index the drive, columns the solution), and beta^(1..b)
+    powers = np.zeros(b + 2)
+    np.power(beta, _EXPONENTS[: b + 1], out=powers[: b + 1])
+    return powers[_TOEPLITZ[:b, :b]], powers[1 : b + 1]
+
+
+@functools.lru_cache(maxsize=4)
+def _scan_plan(beta: float, n: int) -> tuple:
+    # the blocked scan of n values: block length b, block count m, the block
+    # solver, and the carry, which adds beta^(1..b) times the solution at the
+    # end of block k - 1 to block k > 0. Those ends follow the same scan with
+    # beta^b: for at most _BLOCK of them that is one block solver, folded
+    # with beta^(1..b) into one (m - 1) x (m - 1) b matrix; beyond, a plan
+    # of its own. Built once per (beta, n), so the solves of one evaluation
+    # share it
+    m = -(-n // _BLOCK)
+    b = -(-n // m)
+    lower, rises = _block_solver(beta, b)
+    if m == 1:
+        return b, m, lower, None
+    if m - 1 > _BLOCK:
+        return b, m, lower, (_scan_plan(float(rises[-1]), m - 1), rises)
+    ends, _ = _block_solver(float(rises[-1]), m - 1)
+    return b, m, lower, np.dot(ends.reshape(-1, 1), rises[None]).reshape(m - 1, -1)
+
+
+def _blocked_scan(plan, x: np.ndarray) -> np.ndarray:
+    # the recursion along the rows of a 2-D x, padded with zeros to m blocks
+    # of b; the caller drops the padding
+    b, m, lower, carry = plan
+    k, n = x.shape
+    if b * m > n:
+        x = np.concatenate((x, np.zeros((k, b * m - n))), axis=1)
+    y = np.dot(x.reshape(k * m, b), lower).reshape(k, b * m)
+    ends = y[:, b - 1 : -1 : b]  # the solution at the end of blocks 0..m-2
+    if isinstance(carry, np.ndarray):  # the ends' scan folded with beta^(1..b)
+        y[:, b:] += np.dot(ends, carry)
+    elif carry is not None:  # the ends' own plan, and beta^(1..b)
+        inner, rises = carry
+        y[:, b:] += (_blocked_scan(inner, ends)[:, : m - 1, None] * rises).reshape(k, -1)
+    return y
 
 
 def _beta_recursion(beta: float, x: np.ndarray) -> np.ndarray:
     """y_0 = x_0 and y_t = x_t + beta y_{t-1} along the last axis of x.
 
-    Solves (I - beta S) y = x, S the one-step shift, by LAPACK's dgtsv, the
-    rows of a 2-D x as the columns of one multi-right-hand-side call; x is
-    left unchanged. For |beta| <= 1 dgtsv swaps no rows: its elimination
-    computes x_t - (-beta) y_{t-1}, rounded as x_t + beta y_{t-1} is, and
-    its back substitution subtracts zero multiples and divides by ones, so y
-    is the recursion bit for bit. The recursion runs directly in Python
-    floats where dgtsv cannot be used or trusted: a single value (dgtsv
-    refuses zero-length off-diagonals), |beta| > 1 (rows swap, and a pivot
-    can underflow to zero, info > 0, leaving a finite wrong answer) and a
-    path that overflows (back substitution turns 0 * inf into nan, which
-    reaches y_0 from wherever it starts).
+    For 0 <= beta <= 1 it runs as a blocked scan (Blelloch 1990, "Prefix
+    sums and their applications", on first-order linear recurrences):
+    blocks of at most 25 values are solved from zero by one matmul, and the
+    block ends carry into the next block by the same scan with beta^b. The
+    cost stays linear in the length, and the rows of a 2-D x are solved
+    together; x is left unchanged. The scan sums in another order than the
+    recursion: for nonnegative x, each y_t is within 16 sqrt(n) eps of the
+    exact solution, relative. Every value the scan forms is at most n
+    max|x_t| in magnitude, so it runs only where that cannot overflow, and
+    raises no floating-point warning. The recursion runs directly in Python
+    floats otherwise: for a single value, for beta outside [0, 1], where
+    powers of beta grow, and for large or non-finite x, where a path that
+    overflows keeps its finite prefix.
     """
     beta = float(beta)
     n = x.shape[-1]
-    if n > 1 and abs(beta) <= 1.0:
-        dl = np.empty(n - 1)
-        dl.fill(-beta)
-        d, du = _unit_bands(n)
-        _, _, _, y, info = lapack.dgtsv(dl, d, du, x.T, overwrite_dl=1)
-        if info == 0 and all(map(math.isfinite, np.ravel(y[0]).tolist())):
-            return y.T
+    if n > 1 and 0.0 <= beta <= 1.0 and n * float(np.abs(x).max()) < _SCAN_BOUND:
+        return _blocked_scan(_scan_plan(beta, n), x.reshape(-1, n))[:, :n].reshape(x.shape)
     rows = np.reshape(x, (-1, n)).tolist()
     for row in rows:
         for t in range(1, n):
@@ -176,7 +219,16 @@ def _pack(params: GarchParams) -> np.ndarray:
     q = min(max(params.persistence / (1.0 - _MARGIN), 1e-12), 1.0 - 1e-12)
     f = params.alpha / params.persistence if params.persistence > 0 else 0.5
     f = min(max(f, 1e-12), 1.0 - 1e-12)
-    return np.array([np.log(params.omega), special.logit(q), special.logit(f)])
+    return np.array([np.log(params.omega), _logit(q), _logit(f)])
+
+
+def _logit(p: float) -> float:
+    # scipy.special.logit's formulas, and its bits, in Python floats: the
+    # quotient form loses precision near 1/2, so around it the log1p form
+    if p < 0.3 or p > 0.65:
+        return math.log(p / (1.0 - p))
+    s = 2.0 * (p - 0.5)
+    return math.log1p(s) - math.log1p(-s)
 
 
 def _expit(x: float) -> float:
@@ -218,12 +270,15 @@ def _loglik_grad_hess(z: np.ndarray, r2: np.ndarray, sigma0_sq: float):
     s2, value = _path_and_cost(params, r2, sigma0_sq)
     if not math.isfinite(value):
         return _not_finite()
-    # d s2_t / d(omega, alpha, beta) for t >= 2; zero at t = 1
-    drives = np.empty((3, r2.size - 1))
-    drives[0], drives[1], drives[2] = 1.0, r2[:-1], s2[:-1]
+    # d s2_t / d(omega, alpha, beta), zero at t = 1. Every recursion runs at
+    # the window length, so the three solves of an evaluation share
+    # _scan_plan(beta, n); the derivatives' zero first column adds nothing
+    # to the sums below
+    drives = np.empty((3, r2.size))
+    drives[:, 0] = 0.0
+    drives[0, 1:], drives[1, 1:], drives[2, 1:] = 1.0, r2[:-1], s2[:-1]
     ds2 = _beta_recursion(beta, drives)
-    s, x = s2[1:], r2[1:]
-    weight = 0.5 * (s - x) / s**2  # d(value) / d s2_t
+    weight = 0.5 * (s2 - r2) / s2**2  # d(value) / d s2_t
     score = ds2 @ weight
     # chain through _unpack: omega = e^z0, (alpha, beta) = q (f, 1 - f) with
     # q = (1 - _MARGIN) expit(z1), f = expit(z2); its clip has zero gradient
@@ -247,11 +302,11 @@ def _loglik_grad_hess(z: np.ndarray, r2: np.ndarray, sigma0_sq: float):
         return value, grad, None
     # d2 s2_t / d(omega, alpha, beta) d beta: driven by d s2_{t-1}, twice
     # for (beta, beta); every pair without beta has zero second derivative
-    lagged = np.zeros_like(ds2)
+    lagged = np.zeros_like(drives)
     lagged[:, 1:] = ds2[:, :-1]
     lagged[2] *= 2.0
     d2s2 = _beta_recursion(beta, lagged)
-    curvature = 0.5 * (2.0 * x - s) / s**3  # d2(value) / d s2_t^2
+    curvature = 0.5 * (2.0 * r2 - s2) / s2**3  # d2(value) / d s2_t^2
     hess = (ds2 * curvature) @ ds2.T
     cross = d2s2 @ weight
     hess[:, 2] += cross

@@ -18,6 +18,9 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
+# np.percentile reaches np.unique, which loads numpy.ma on first use; loaded
+# with this module, so that cost falls at start-up rather than in a study
+import numpy.ma  # noqa: F401
 
 from .errors import DegenerateWindowError
 from .estimator import EstimatorConfig, batch_estimate

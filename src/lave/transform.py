@@ -23,10 +23,10 @@ at most -1, which makes a peak-shifted quadrature well conditioned at any u.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from .series import PowerParams, ReturnSeries, TransformedSeries
 
@@ -44,6 +44,35 @@ __all__ = [
 
 _LOG_2 = float(np.log(2.0))
 _LOG_PI = float(np.log(np.pi))
+
+# cephes lgam: coefficients of its Stirling tail (A) and of its rational
+# approximation on [2, 3) (B over monic C), log(sqrt(2 pi)), and the
+# argument above which log Gamma overflows
+_LGAM_A = (
+    8.11614167470508450300e-4,
+    -5.95061904284301438324e-4,
+    7.93650340457716943945e-4,
+    -2.77777777730099687205e-3,
+    8.33333333333331927722e-2,
+)
+_LGAM_B = (
+    -1.37825152569120859100e3,
+    -3.88016315134637840924e4,
+    -3.31612992738871184744e5,
+    -1.16237097492762307383e6,
+    -1.72173700820839662146e6,
+    -8.53555664245765465627e5,
+)
+_LGAM_C = (
+    -3.51815701436523470549e2,
+    -1.70642106651881159223e4,
+    -2.20528590553854454839e5,
+    -1.13933444367982507207e6,
+    -2.53252307177582951285e6,
+    -2.01889141433532773231e6,
+)
+_LS2PI = 0.91893853320467274178
+_MAXLGM = 2.556348e305
 
 # Geometric search grid for the supremum of ratio(u), extended adaptively
 # (doubling the upper end) while the maximum sits on the right edge.
@@ -79,7 +108,46 @@ def gaussian_abs_moment(gamma: float) -> float:
     if not (gamma > 0.0):
         raise ValueError(f"gamma must be positive, got {gamma}")
     g = float(gamma)
-    return float(np.exp(0.5 * g * _LOG_2 + special.gammaln(0.5 * (g + 1.0)) - 0.5 * _LOG_PI))
+    return float(np.exp(0.5 * g * _LOG_2 + _lgam(0.5 * (g + 1.0)) - 0.5 * _LOG_PI))
+
+
+def _polevl(x: float, coefs) -> float:
+    value = coefs[0]
+    for c in coefs[1:]:
+        value = value * x + c
+    return value
+
+
+def _lgam(x: float) -> float:
+    """log Gamma(x) for x > 0: cephes lgam, the routine behind
+    scipy.special.gammaln, with its branches, coefficients and operation
+    order in Python floats, so it equals gammaln bit for bit without
+    importing scipy.special."""
+    if x < 13.0:
+        # shift x into [2, 3) by the recurrence Gamma(x + 1) = x Gamma(x)
+        z, p, u = 1.0, 0.0, x
+        while u >= 3.0:
+            p -= 1.0
+            u = x + p
+            z *= u
+        while u < 2.0:
+            z /= u
+            p += 1.0
+            u = x + p
+        if u == 2.0:
+            return math.log(z)
+        x = x + (p - 2.0)
+        return math.log(z) + x * _polevl(x, _LGAM_B) / _polevl(x, (1.0, *_LGAM_C))
+    if x > _MAXLGM:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1.0e8:
+        return q
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    return q + _polevl(p, _LGAM_A) / x
 
 
 @functools.lru_cache(maxsize=64)

@@ -584,9 +584,22 @@ class TestWriteCsv:
     def test_every_cell_goes_through_the_number_format(self, tmp_path):
         cfg = RunConfig(command="stats", out_dir=str(tmp_path), deterministic=True)
         row = [np.float64(1 / 3), 1 / 3, np.int64(7), float("nan"), "a label"]
-        path = cli_mod._write_csv(cfg, "cells.csv", ["a", "b", "c", "d", "e"], [row])
+        path = cli_mod._write_csv(cfg, "cells.csv", ["a", "b", "c", "d", "e"], zip(row))
         _, rows = read_output(path)
         assert rows == [["0.333333333333", "0.333333333333", "7", "nan", "a label"]]
+
+    def test_array_columns_format_as_their_cells_do(self, tmp_path):
+        # a whole array column is formatted at once, as each of its cells alone
+        cfg = RunConfig(command="stats", out_dir=str(tmp_path), deterministic=True)
+        floats = np.array([1 / 3, float("nan"), 2.0, -1e-13, 123456.7890123456789])
+        ints = np.arange(5, dtype=np.int64)
+        cells = [list(floats), list(ints), floats.tolist()]
+        path = cli_mod._write_csv(cfg, "arrays.csv", ["f", "i", "p"], [floats, ints, cells[2]])
+        by_cell = cli_mod._write_csv(cfg, "cells.csv", ["f", "i", "p"], cells)
+        _, rows = read_output(path)
+        assert rows == read_output(by_cell)[1]
+        assert rows[0] == ["0.333333333333", "0", "0.333333333333"]
+        assert [row[0] for row in rows[1:]] == ["nan", "2.0", "-0.0", "123456.78901234567"]
 
 
 
@@ -607,21 +620,30 @@ class TestStartup:
         assert proc.stdout.strip() == "[]"
 
     def test_import_and_runs_load_no_scipy_optimize(self, tmp_path):
-        # a fresh interpreter: scipy.optimize is about 0.3 s of start-up; the
-        # cold GARCH fit has its own simplex, and only a_gamma imports it
+        # a fresh interpreter: scipy is most of a command's start-up. The
+        # GARCH code has its own simplex, scan and logit, lgam is ported into
+        # lave.transform, and only a_gamma, so only `lave constants`, imports
+        # scipy.optimize
         src = str(Path(lave.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         out = str(tmp_path)
         code = f"""
 import sys, lave.cli
-loaded = ["import"] if "scipy.optimize" in sys.modules else []
+def scipy_loaded():
+    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+loaded = ["import"] if scipy_loaded() else []
 for argv in (
     ["estimate", "--design", "two-jump-3x", "--lam", "table:80"],
     ["simulate", "--design", "two-jump-3x", "--replications", "20"],
+    ["calibrate", "--replications", "200"],
+    ["stats", "--design", "two-jump-3x"],
+    ["acf", "--design", "two-jump-3x", "--standardize", "--lam", "table:80"],
     ["backtest", "--design", "two-jump-3x", "--lam", "table:80", "--garch-window", "100"],
 ):
     assert lave.cli.main([*argv, "--out-dir", {out!r}, "--deterministic"]) == 0
-    loaded += [argv[0]] if "scipy.optimize" in sys.modules else []
+    loaded += [argv[0]] if scipy_loaded() else []
+assert lave.cli.main(["constants", "--out-dir", {out!r}, "--deterministic"]) == 0
+print("scipy.optimize" in sys.modules)
 from lave.transform import power_constants
 print(loaded, repr(power_constants(0.5).a_gamma))
 """
@@ -629,6 +651,7 @@ print(loaded, repr(power_constants(0.5).a_gamma))
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-2] == "True"
         assert proc.stdout.splitlines()[-1] == "[] 1.0045849424076858"
 
 

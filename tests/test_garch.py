@@ -13,10 +13,11 @@ Deterministic oracle values frozen from seeded runs on this engine:
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import optimize, special
 from scipy.linalg import lapack
 
 import lave.garch as garch_mod
@@ -331,71 +332,71 @@ def _benchmark_returns(seed: int, n: int = 600) -> np.ndarray:
 
 
 # every forecast rolling_forecast makes on _benchmark_returns(7), window 350,
-# frozen from the warm refits that formed the Hessian at every evaluation
+# frozen from the warm refits with the variance recursions run as blocked scans
 _BENCHMARK_7_FORECASTS = (
-    0.9755618842774176, 0.9759399101837386, 0.9945504763078544, 0.9704482195587827,
-    0.9539691336986883, 0.9343834998864533, 0.9848563286169134, 0.9630179782338958,
-    0.9598865137055475, 0.9437926288258356, 0.9177077550886897, 0.8917677333798861,
-    0.867525864592605, 0.877526892104614, 0.8912714950829156, 0.8673117440537752,
-    0.8385139319924555, 0.8132290201699057, 0.7935847160095096, 0.8181836422596573,
-    0.8041866990625146, 0.8325283479558176, 0.8072058713251665, 0.7830668700540853,
-    0.7606041874899871, 0.748104748096571, 0.7299939091343057, 0.7044407541408633,
-    0.6800593805710501, 0.6528370622668359, 0.6237355470901585, 0.5858621279922728,
-    0.5504855469275147, 0.5681402628872663, 0.5343364275762684, 0.5341257876543072,
-    0.5141823176988081, 0.5368859082924861, 0.49825318317134315, 0.4684722359037586,
-    0.47979330494480565, 0.4420750205699701, 0.5094338073496425, 0.5701397529022757,
-    0.5340242371069336, 0.5408494108499032, 0.5026112493133343, 0.5981548669355016,
-    0.5673654236995531, 0.5462614524849306, 0.5323611889595685, 0.504589579497376,
-    0.5062752940851092, 0.5553773539860116, 0.5152810359372281, 0.5812939616027589,
-    0.5419550518828313, 0.5924838409241001, 0.6165924406595519, 0.5823906638589218,
-    0.5437741847057427, 0.5163656186165755, 0.5128718443931273, 0.4780414734938296,
-    0.5208705885228362, 0.4868507541556495, 0.5569434821619149, 0.5413089011161426,
-    0.5222703223089961, 0.48585268699002465, 0.4915292544916025, 0.8145546301970973,
-    0.809977651035069, 0.8220620177969857, 0.8154926455988553, 0.9451982460802469,
-    0.9917101609422893, 1.0396257774364768, 1.3162072305246226, 1.214440941394943,
-    1.1625447526801633, 1.0855541985451431, 1.148703167559736, 1.0966667808921018,
-    1.2376385970307369, 1.156786034603401, 1.0904871181041593, 1.0617442758312254,
-    0.9997140029042625, 0.9682551214705019, 0.9233197911886555, 0.9257057698032032,
-    0.9720724118862366, 0.9331832261054833, 0.887404842652501, 0.9015361097525215,
-    0.8983814297959789, 0.8885746960589375, 1.0068327877132974, 0.9501926018570916,
-    0.9095226968288994, 0.9013001297840386, 0.8571115128312138, 0.8108237887783304,
-    0.7698350673886751, 0.7507462913198163, 0.9571452316828754, 0.9158614144826546,
-    0.8718246096682778, 0.8388056189874739, 0.7976688830499048, 0.8151601746478021,
-    0.7780565487903371, 0.7709553856511052, 0.7376293887633215, 0.7295190179832938,
-    0.7351108839083778, 0.7093543795465596, 0.7209779458959862, 0.718832074549846,
-    0.7036305925446675, 0.6681200032255711, 0.647821124091744, 0.6446675291334037,
-    0.6736341033862371, 0.6898029547105968, 0.7915690528728908, 0.79883512437423,
-    0.895791080456512, 0.8547928018964328, 0.8259635347782198, 0.8426125029658136,
-    0.7961056869259265, 0.985342800213814, 0.9358770989455364, 0.8783379082997698,
-    0.8520666777111611, 0.8056802191740281, 0.7622818363581325, 0.7428645625897632,
-    0.8259740675234577, 0.9028907402934936, 0.8588143523692383, 0.8707922893406325,
-    0.8330098061737037, 0.7962756540862491, 0.7715985043202509, 0.7990973489601434,
-    0.7945683788572006, 0.8738605590033989, 0.826588295868457, 0.95224840473762,
-    0.9993406714007913, 0.9794292666164567, 0.9659037767421427, 0.9185396975180955,
-    1.0410042760499345, 1.3560588366789434, 1.2665485141631414, 1.4250271929381564,
-    1.3156015584951268, 1.4790356936727178, 1.4123372805644565, 1.3004441767826924,
-    1.2099450468095556, 1.1216356561743324, 1.0719682794625243, 1.1029721253681077,
-    1.16737116289611, 1.0881157520519416, 1.0255353498572788, 0.9674989274835502,
-    0.9111651732810968, 0.8487915078082799, 0.8797351656463924, 0.8696714568951504,
-    0.8151490082292998, 0.7778519404853922, 0.8743690915168887, 0.8495095811714433,
-    0.7969416157239503, 0.7834794799881916, 0.7781114639829103, 0.7271995858885224,
-    0.6765044738286474, 0.6644285425201207, 0.7645527763282008, 0.7189235692471712,
-    0.7560400286209356, 0.7869084091175633, 0.8449146721142924, 0.8457861804863924,
-    0.9424781711674575, 1.0022015850945443, 0.9250611688661718, 0.8924520035349764,
-    0.8631902618800478, 0.8003165531609654, 0.7439806342095321, 0.7462284634527119,
-    0.7112118877487462, 0.7233436689560322, 0.7180370243975243, 0.7056565218989918,
-    0.6591706951422901, 0.7388231260184094, 0.6862732150038452, 0.6400247643836664,
-    0.6243881325900139, 0.6049076231835013, 0.9435360186746385, 0.8746981845848874,
-    0.8763561031792095, 0.83618725626289, 0.8073007115439448, 0.754281011045262,
-    0.7379485774973427, 0.8427626301244124, 0.9099058285723504, 0.8483389247655928,
-    0.7913372009843407, 0.7503990754646284, 0.7616972614429053, 0.7322588969714178,
-    0.7912911549183833, 0.7520020763532151, 1.1092474312606888, 1.0684259885606138,
-    1.0432273945631292, 1.0010163913135655, 0.9548920330840429, 0.920749621976255,
-    0.8611010202919126, 0.8267031951389823, 0.7932198842158743, 0.7456773166802906,
-    0.7012384100453734, 0.7151710058847958, 0.688769757025441, 0.6647076701240144,
-    0.7298399300930516, 0.7347634131688355, 0.6912298595927554, 0.6992318347594662,
-    0.6989577113794863, 0.6707806983590248, 0.6293191803391501, 0.5956579758183663,
-    0.5626714173271253, 0.6051146898814879,
+    0.9755618790094487, 0.9759399101837382, 0.9945504763078532, 0.9704482195587856,
+    0.9539691336986889, 0.9343834998864563, 0.9848563286169152, 0.9630179782338956,
+    0.9598865137055481, 0.943792628825836, 0.9177077550886886, 0.8917677333798837,
+    0.8675258645926064, 0.8775268921046154, 0.8912714950829193, 0.8673117440537763,
+    0.838513931992457, 0.8132290201699067, 0.7935847160095101, 0.8181836422596579,
+    0.8041866990625136, 0.8325283479558178, 0.8072058713251673, 0.7830668700540855,
+    0.7606041874899877, 0.7481047480965696, 0.7299939091343081, 0.7044407541408613,
+    0.6800593805710503, 0.6528370622668371, 0.62373554709016, 0.5858621279922711,
+    0.5504855469275164, 0.5681402628872687, 0.5343364275762711, 0.5341257876543093,
+    0.5141823176988073, 0.5368859082924848, 0.4982531831713439, 0.46847223590375764,
+    0.479793304944806, 0.44207502056996995, 0.5094338073496407, 0.5701397529022757,
+    0.5340242371069346, 0.5408494108499033, 0.5026112493133376, 0.5981548669355014,
+    0.5673654236995525, 0.5462614524849299, 0.5323611889595673, 0.5045895794973762,
+    0.5062752940851102, 0.5553773539860112, 0.5152810359372286, 0.5812939616027586,
+    0.5419550518828307, 0.5924838409240979, 0.6165924406595518, 0.5823906638589226,
+    0.5437741847057429, 0.5163656186165758, 0.5128718443931282, 0.4780414734938295,
+    0.5208705885228357, 0.48685075415565043, 0.5569434821619136, 0.5413089011161428,
+    0.5222703223089958, 0.48585268699002365, 0.4915292544916031, 0.8145546301970966,
+    0.8099776510350704, 0.8220620177969855, 0.8154926455988578, 0.945198246080248,
+    0.99171016094229, 1.039625777436479, 1.3162072305246222, 1.214440941394943,
+    1.1625447526801636, 1.0855541985451433, 1.1487031675597361, 1.0966667808921036,
+    1.2376385970307342, 1.1567860346034002, 1.0904871181041587, 1.0617442758312237,
+    0.9997140029042627, 0.968255121470503, 0.9233197911886556, 0.9257057698032041,
+    0.9720724118862363, 0.9331832261054849, 0.8874048426524982, 0.9015361097525196,
+    0.8983814297959816, 0.8885746960589365, 1.006832787713298, 0.9501926018570923,
+    0.9095226968289, 0.9013001297840421, 0.8571115128312147, 0.8108237887783302,
+    0.7698350673886746, 0.7507462913198175, 0.9571452316828749, 0.9158614144826545,
+    0.8718246096682778, 0.8388056189874743, 0.7976688830499046, 0.8151601746478047,
+    0.778056548790337, 0.7709553856511077, 0.7376293887633185, 0.7295190179832937,
+    0.7351108839083754, 0.7093543795465588, 0.7209779458959888, 0.7188320745498438,
+    0.7036305925446689, 0.6681200032255742, 0.6478211240917444, 0.6446675291334064,
+    0.6736341033862375, 0.689802954710596, 0.7915690528728915, 0.7988351243742351,
+    0.8957910804565137, 0.8547928018964334, 0.8259635347782197, 0.8426125029658128,
+    0.7961056869259252, 0.9853428002138142, 0.9358770989455361, 0.878337908299768,
+    0.8520666777111618, 0.8056802191740294, 0.7622818363581351, 0.742864562589766,
+    0.8259740675234567, 0.9028907402934933, 0.8588143523692386, 0.8707922893406301,
+    0.8330098061737035, 0.7962756540862502, 0.7715985043202496, 0.7990973489601467,
+    0.794568378857201, 0.8738605590034004, 0.826588295868455, 0.9522484047376183,
+    0.9993406714007934, 0.9794292666164577, 0.9659037767421406, 0.9185396975180969,
+    1.0410042760499336, 1.3560588366789417, 1.2665485141631418, 1.4250271929381544,
+    1.3156015584951237, 1.479035693672715, 1.4123372805644545, 1.3004441767826909,
+    1.209945046809557, 1.1216356561743306, 1.071968279462524, 1.1029721253681077,
+    1.1673711628961103, 1.088115752051944, 1.0255353498572781, 0.9674989274835488,
+    0.9111651732811001, 0.848791507808279, 0.8797351656463915, 0.8696714568951487,
+    0.8151490082292996, 0.7778519404853892, 0.8743690915168898, 0.8495095811714429,
+    0.7969416157239504, 0.7834794799881923, 0.7781114639829101, 0.7271995858885214,
+    0.6765044738286485, 0.6644285425201198, 0.7645527763282014, 0.7189235692471705,
+    0.7560400286209352, 0.7869084091175627, 0.8449146721142928, 0.8457861804863955,
+    0.9424781711674568, 1.0022015850945443, 0.9250611688661733, 0.8924520035349746,
+    0.8631902618800469, 0.800316553160966, 0.7439806342095312, 0.7462284634527114,
+    0.7112118877487456, 0.7233436689560322, 0.7180370243975239, 0.7056565218989924,
+    0.659170695142289, 0.7388231260184092, 0.686273215003843, 0.6400247643836665,
+    0.6243881325900131, 0.6049076231835044, 0.9435360186746375, 0.8746981845848868,
+    0.8763561031792095, 0.8361872562628897, 0.807300711543945, 0.7542810110452602,
+    0.7379485774973427, 0.8427626301244143, 0.9099058285723536, 0.8483389247655926,
+    0.7913372009843405, 0.7503990754646275, 0.7616972614429055, 0.7322588969714179,
+    0.7912911549183834, 0.7520020763532148, 1.1092474312606877, 1.0684259885606113,
+    1.0432273945631296, 1.0010163913135646, 0.9548920330840427, 0.9207496219762553,
+    0.8611010202919134, 0.8267031951389836, 0.7932198842158744, 0.7456773166802892,
+    0.7012384100453732, 0.7151710058847958, 0.6887697570254404, 0.6647076701240152,
+    0.7298399300930534, 0.7347634131688343, 0.6912298595927564, 0.6992318347594678,
+    0.6989577113794864, 0.6707806983590247, 0.6293191803391516, 0.5956579758183663,
+    0.562671417327126, 0.6051146898814879,
 )
 
 
@@ -407,37 +408,64 @@ def _direct_path(params, values, sigma0_sq):
     return np.array(path)
 
 
-def _direct_recursion(beta, x):
-    # y_0 = x_0, y_t = x_t + beta y_{t-1} along the last axis, in Python floats
-    rows = np.reshape(x, (-1, np.shape(x)[-1])).tolist()
+def _exact_recursion(beta, rows):
+    # y_0 = x_0, y_t = x_t + beta y_{t-1} along each row, in exact rationals
+    b = Fraction(beta)
+    exact = []
     for row in rows:
-        for t in range(1, len(row)):
-            row[t] = row[t] + beta * row[t - 1]
-    return np.array(rows).reshape(np.shape(x))
+        y = [Fraction(row[0])]
+        for value in row[1:]:
+            y.append(Fraction(value) + b * y[-1])
+        exact.append(y)
+    return exact
+
+
+def _assert_near_exact(got, exact):
+    # relative error at most 16 sqrt(n) eps in every value, n the row length
+    n = len(exact[0])
+    tol = Fraction(16 * math.sqrt(n) * np.finfo(float).eps)
+    rows = np.reshape(got, (-1, n)).tolist()
+    assert len(rows) == len(exact)
+    for got_row, exact_row in zip(rows, exact):
+        for value, truth in zip(got_row, exact_row):
+            assert abs(Fraction(value) - truth) <= tol * truth
 
 
 class TestBidiagonalSolve:
-    """The recursions run as LAPACK dgtsv solves (garch._beta_recursion)."""
+    """The recursions run as blocked scans (garch._beta_recursion)."""
 
-    @pytest.mark.parametrize("n", [2, 3, 350])
+    @pytest.mark.parametrize("n", [2, 3, 349, 350, 353])
     @pytest.mark.parametrize("beta", [0.0, 0.5, 0.9, 1 - 1e-6, 1.0])
-    def test_equals_the_direct_recursion_bit_for_bit(self, beta, n):
+    def test_is_within_16_sqrt_n_eps_of_the_exact_solution(self, beta, n):
+        # 350 is 14 blocks of 25; 349 and 353 are padded to whole blocks
         rng = np.random.default_rng([n, int(beta * 1e6)])
         # a variance path from its start value, through garch_filter on n
-        # observations
+        # observations, against the exact solution of its drive
         r = ReturnSeries(rng.standard_normal(n) * rng.lognormal(0.0, 2.0, n))
         p = GarchParams(omega=0.05, alpha=0.1, beta=beta)
-        np.testing.assert_array_equal(garch_filter(p, r, 1.7), _direct_path(p, r.values, 1.7))
-        # three drive rows, shaped like the derivative recursions'
+        drive = [1.7, *(p.omega + p.alpha * r.values[:-1] ** 2).tolist()]
+        _assert_near_exact(garch_filter(p, r, 1.7), _exact_recursion(beta, [drive]))
+        # three nonnegative drive rows, shaped like the derivative recursions'
         drives = np.stack((np.ones(n), rng.lognormal(0.0, 2.0, n), rng.lognormal(0.0, 3.0, n)))
         before = drives.copy()
+        exact = _exact_recursion(beta, drives.tolist())
         got = garch_mod._beta_recursion(beta, drives)
         assert got.shape == drives.shape
-        np.testing.assert_array_equal(got, _direct_recursion(beta, drives))
+        _assert_near_exact(got, exact)
         np.testing.assert_array_equal(drives, before)
-        np.testing.assert_array_equal(
-            garch_mod._beta_recursion(beta, drives[1]), _direct_recursion(beta, drives[1])
-        )
+        one = garch_mod._beta_recursion(beta, drives[1])
+        assert one.shape == (n,)
+        _assert_near_exact(one, exact[1:2])
+
+    @pytest.mark.parametrize("n", [651, 1301])
+    @pytest.mark.parametrize("beta", [0.0, 0.5, 0.75, 1 - 2.0**-10, 1.0])
+    def test_past_26_blocks_the_ends_get_a_scan_of_their_own(self, beta, n):
+        # 651 is 27 blocks of 25, whose ends make 2 blocks; 1301 is 53, whose
+        # ends make 3. Betas with short binary expansions keep the exact
+        # reference quick at these lengths
+        assert isinstance(garch_mod._scan_plan(beta, n)[3], tuple)
+        x = np.random.default_rng([n, 7]).lognormal(0.0, 2.0, (2, n))
+        _assert_near_exact(garch_mod._beta_recursion(beta, x), _exact_recursion(beta, x.tolist()))
 
     def test_single_value_is_its_own_solution(self):
         # dgtsv rejects the zero-length off-diagonals of a 1 x 1 system
@@ -469,6 +497,30 @@ class TestBidiagonalSolve:
         s2 = garch_filter(p, r, sigma0_sq=1.0)
         np.testing.assert_allclose(s2, _direct_path(p, r.values, 1.0), rtol=1e-12)
         assert np.isfinite(garch_loglik(p, r, sigma0_sq=1.0))
+
+
+class TestScipyPorts:
+    """_pack's logit and _unpack's expit are scipy.special's logit and expit
+    in Python floats, bit for bit, so the GARCH code imports no scipy."""
+
+    def test_logit_equals_scipy(self):
+        rng = np.random.default_rng(12)
+        near_ends = 10.0 ** rng.uniform(-12.0, np.log10(0.3), 10_000)
+        spreads = (
+            rng.uniform(0.3, 0.65, 20_000),  # the log1p form
+            np.concatenate((near_ends, 1.0 - near_ends, rng.uniform(0.65, 1.0, 10_000))),
+            np.array([1e-12, 1.0 - 1e-12, 0.3, 0.65, 0.5]),  # _pack's clip ends
+        )
+        for p in spreads:
+            got = np.array([garch_mod._logit(x) for x in p.tolist()])
+            assert got.tobytes() == special.logit(p).tobytes()
+
+    def test_expit_equals_scipy(self):
+        # _unpack clips its arguments to [-40, 40]
+        z = np.random.default_rng(13).uniform(-40.0, 40.0, 20_000)
+        z = np.concatenate((z, [-40.0, 0.0, 40.0]))
+        got = np.array([garch_mod._expit(x) for x in z.tolist()])
+        assert got.tobytes() == special.expit(z).tobytes()
 
 
 SCORE_POINTS = [
@@ -524,13 +576,16 @@ class TestAnalyticDerivatives:
 class TestWarmFits:
     def test_cold_fit_and_rolling_forecast_on_the_benchmark_input(self):
         # frozen from the Nelder-Mead engine that refitted every window before
-        # warm refits: the cold fit is that engine unchanged, so it must agree
-        # bit for bit
+        # warm refits, with the variance recursion run as a blocked scan. The
+        # values frozen from exact recursions, before the scan, agree within
+        # the benchmark's GARCH tolerance of 1e-6 relative
         values = _benchmark_returns(7)
         cold = garch_fit(ReturnSeries(values[:350]))
-        assert (cold.omega, cold.alpha, cold.beta) == (
-            0.0666791310119367, 0.023093161771008293, 0.9144633414457719,
+        fitted = (cold.omega, cold.alpha, cold.beta)
+        assert fitted == pytest.approx(
+            (0.0666791310119367, 0.023093161771008293, 0.9144633414457719), rel=1e-6
         )
+        assert fitted == (0.06667912473422803, 0.023093162481783915, 0.9144633464849455)
         rf = rolling_forecast(ReturnSeries(values), window=350)
         assert rf.fallback_times == ()
         t, last = rf.forecasts[-1]
@@ -737,12 +792,12 @@ class TestNelderMead:
         ]
         assert any(unevaluated) == (maxfev in (1, 2, 3, 6, 7, 8))
 
-    @pytest.mark.parametrize("maxfev", [180, 181])
+    @pytest.mark.parametrize("maxfev", [239, 240])
     def test_exhausted_inside_a_shrink_that_finds_a_new_best(self, monkeypatch, maxfev):
-        # on benchmark window 5 a shrink makes evaluations 180 to 182 and its
-        # first moved vertices fall below the best one; the budget ends before
+        # on benchmark window 6 a shrink makes evaluations 239 to 241 and its
+        # first moved vertex falls below the best one; the budget ends before
         # the shrink does, so only the re-sort puts the new best first
-        func, x0, _, _ = _cold_problem(monkeypatch, _window("benchmark", 5))
+        func, x0, _, _ = _cold_problem(monkeypatch, _window("benchmark", 6))
         evaluated = []
 
         def recording(z):
@@ -753,7 +808,7 @@ class TestNelderMead:
             recording, x0, xatol=1e-8, fatol=1e-10, maxiter=4000, maxfev=maxfev
         )
         assert ref.status == 1
-        assert any(np.array_equal(ref.x, z) for z in evaluated[179:maxfev])
+        assert any(np.array_equal(ref.x, z) for z in evaluated[238:maxfev])
 
     @pytest.mark.parametrize("maxiter", [1, 2, 3, 5, 20, 100])
     def test_exhausted_iterations_equal_scipy(self, monkeypatch, maxiter):

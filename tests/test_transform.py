@@ -53,6 +53,34 @@ class TestGaussianAbsMoment:
             gaussian_abs_moment(-0.5)
 
 
+class TestLgamPort:
+    """transform._lgam is cephes lgam in Python floats: scipy.special.gammaln's
+    bits, without importing scipy.special."""
+
+    def _assert_gammaln_bits(self, xs):
+        got = np.array([transform._lgam(x) for x in xs])
+        assert got.tobytes() == special.gammaln(np.array(xs)).tobytes()
+
+    def test_log_uniform_spread(self):
+        # every branch: the shift into [2, 3), the Stirling tail below 1000,
+        # its short form to 1e8, and the bare Stirling term beyond
+        xs = 10.0 ** np.random.default_rng(11).uniform(-3.0, 9.0, 50_000)
+        self._assert_gammaln_bits(xs.tolist() + [2.0, 3.0, 13.0, 1000.0, 1e8])
+
+    def test_every_half_integer_to_one_hundred(self):
+        self._assert_gammaln_bits((np.arange(1, 201) / 2.0).tolist())
+
+    def test_the_arguments_moment_constants_uses(self):
+        gammas = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0, 10.0]
+        # moment_constants takes gaussian_abs_moment at gamma and 2 gamma
+        self._assert_gammaln_bits([0.5 * (k * g + 1.0) for k in (1, 2) for g in gammas])
+        for g in gammas:
+            expect = np.exp(
+                0.5 * g * np.log(2.0) + special.gammaln(0.5 * (g + 1.0)) - 0.5 * np.log(np.pi)
+            )
+            assert gaussian_abs_moment(g) == float(expect)
+
+
 class TestPowerConstants:
     def test_gamma_two_exact(self):
         p = power_constants(2.0)
