@@ -431,6 +431,15 @@ def _assert_near_exact(got, exact):
             assert abs(Fraction(value) - truth) <= tol * truth
 
 
+def _direct_recursion(beta, x):
+    # y_0 = x_0, y_t = x_t + beta y_{t-1} along the last axis, in Python floats
+    rows = np.reshape(x, (-1, np.shape(x)[-1])).tolist()
+    for row in rows:
+        for t in range(1, len(row)):
+            row[t] = row[t] + beta * row[t - 1]
+    return np.array(rows).reshape(np.shape(x))
+
+
 class TestBidiagonalSolve:
     """The recursions run as blocked scans (garch._beta_recursion)."""
 
@@ -456,6 +465,29 @@ class TestBidiagonalSolve:
         one = garch_mod._beta_recursion(beta, drives[1])
         assert one.shape == (n,)
         _assert_near_exact(one, exact[1:2])
+
+    # where the scan rounds no more than the recursion: at beta = 0 its block
+    # solver is the identity, and at n = 2 each value is one multiply-add
+    @pytest.mark.parametrize(
+        "beta, n", [(0.0, 2), (0.0, 3), (0.0, 350), (0.5, 2), (0.9, 2), (1 - 1e-6, 2), (1.0, 2)]
+    )
+    def test_equals_the_direct_recursion_bit_for_bit(self, beta, n):
+        rng = np.random.default_rng([n, int(beta * 1e6)])
+        # a variance path from its start value, through garch_filter on n
+        # observations
+        r = ReturnSeries(rng.standard_normal(n) * rng.lognormal(0.0, 2.0, n))
+        p = GarchParams(omega=0.05, alpha=0.1, beta=beta)
+        np.testing.assert_array_equal(garch_filter(p, r, 1.7), _direct_path(p, r.values, 1.7))
+        # three drive rows, shaped like the derivative recursions'
+        drives = np.stack((np.ones(n), rng.lognormal(0.0, 2.0, n), rng.lognormal(0.0, 3.0, n)))
+        before = drives.copy()
+        got = garch_mod._beta_recursion(beta, drives)
+        assert got.shape == drives.shape
+        np.testing.assert_array_equal(got, _direct_recursion(beta, drives))
+        np.testing.assert_array_equal(drives, before)
+        np.testing.assert_array_equal(
+            garch_mod._beta_recursion(beta, drives[1]), _direct_recursion(beta, drives[1])
+        )
 
     @pytest.mark.parametrize("n", [651, 1301])
     @pytest.mark.parametrize("beta", [0.0, 0.5, 0.75, 1 - 2.0**-10, 1.0])
