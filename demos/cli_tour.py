@@ -17,7 +17,9 @@ import numpy as np
 
 from lave.cli import main
 
-root = Path(tempfile.mkdtemp(prefix="lave-demo-"))
+# everything goes into a temporary directory, removed at the end
+tmp = tempfile.TemporaryDirectory(prefix="lave-demo-")
+root = Path(tmp.name)
 out = root / "out"
 
 # a 300-point series with one volatility jump, written as one value per line
@@ -66,4 +68,5 @@ print("6. Every run is reproducible from its own output header")
 first = (out / "estimate" / "estimate.csv").read_text().splitlines()[0]
 print(f"   {first}")
 print()
-print(f"All artifacts are under {out}")
+print(f"All artifacts were under {out}, now removed")
+tmp.cleanup()

@@ -36,7 +36,6 @@ __all__ = [
     "truth_diagnostics",
     "relative_error_criterion",
     "detectability_bound",
-    "batch_estimate",
     "detection_delays",
     "run_change_point_experiment",
 ]

@@ -18,6 +18,10 @@ whose supremum over u > 0 is the sub-Gaussian tail constant a_gamma used by
 the conservative threshold rule. For gamma <= 1 the expectation is finite
 for every u, and the integrand's exponent is concave with second derivative
 at most -1, which makes a peak-shifted quadrature well conditioned at any u.
+
+The module needs numpy alone: log Gamma (_lgam) and the golden-section step
+that refines a_gamma (_golden_section) are ports of scipy's routines that
+keep their bits.
 """
 
 from __future__ import annotations
@@ -80,6 +84,9 @@ _U_MIN = 1e-3
 _U_MAX = 50.0
 _U_POINTS = 400
 _U_CAP = 12800.0
+
+# scipy's golden-section constant, to the digits scipy writes it
+_GOLDEN = 0.61803399
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,19 +265,37 @@ def log_laplace_ratio(params: PowerParams, u: float) -> float:
     return 2.0 * log_mgf / (u * u)
 
 
+def _golden_section(func, xa, xb, xc):
+    """Minimize func on the bracket xa < xb < xc by scipy's golden-section
+    search (minimize_scalar, method "golden", xtol 1e-10) step for step: its
+    first split into the wider side, its stop rule and its final f1 < f2
+    pick, so the returned (x, fun) equal scipy's bit for bit."""
+    gc = 1.0 - _GOLDEN
+    x0, x3 = xa, xc
+    if abs(xc - xb) > abs(xb - xa):
+        x1, x2 = xb, xb + gc * (xc - xb)
+    else:
+        x1, x2 = xb - gc * (xb - xa), xb
+    f1, f2 = func(x1), func(x2)
+    while abs(x3 - x0) > 1e-10 * (abs(x1) + abs(x2)):
+        if f2 < f1:
+            x0, x1, x2 = x1, x2, _GOLDEN * x2 + gc * x3
+            f1, f2 = f2, func(x2)
+        else:
+            x3, x2, x1 = x2, x1, _GOLDEN * x1 + gc * x0
+            f2, f1 = f1, func(x1)
+    return (x1, f1) if f1 < f2 else (x2, f2)
+
+
 def compute_a_gamma(params: PowerParams) -> float:
     """Supremum over u > 0 of the scaled log-Laplace transform ratio.
 
     Scans a geometric grid, extends the grid while the maximum sits on its
     right edge (the ratio is monotone increasing toward a finite limit at
-    gamma = 1), and refines an interior maximum by golden-section search.
+    gamma = 1), and refines an interior maximum by golden-section search
+    (_golden_section) on the bracket of its two grid neighbours.
     The u -> 0+ limit equals 1, so the result is never below 1.
-    scipy.optimize is imported here, on first use, because only `lave
-    constants` and power_constants(gamma <= 1) need it, and importing it with
-    this module would add about 0.3 s to every command's start-up.
     """
-    from scipy import optimize
-
     if params.gamma > 1.0:
         raise ValueError("a_gamma is defined only for gamma <= 1")
 
@@ -284,13 +309,9 @@ def compute_a_gamma(params: PowerParams) -> float:
     i = int(np.argmax(vals))
     best = vals[i]
     if 0 < i < len(grid) - 1:
-        res = optimize.minimize_scalar(
-            lambda u: -log_laplace_ratio(params, u),
-            bracket=(grid[i - 1], grid[i], grid[i + 1]),
-            method="golden",
-            options={"xtol": 1e-10},
-        )
-        best = max(best, -float(res.fun))
+        _, fun = _golden_section(lambda u: -log_laplace_ratio(params, u),
+                                 grid[i - 1], grid[i], grid[i + 1])
+        best = max(best, -float(fun))
     # sup over u > 0 includes the u -> 0+ limit, which is exactly 1
     return max(1.0, float(best))
 

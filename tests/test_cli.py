@@ -604,55 +604,66 @@ class TestWriteCsv:
 
 
 class TestStartup:
-    def test_import_loads_neither_scipy_signal_nor_stats(self):
-        # a fresh interpreter: importing scipy.signal pulls in scipy.stats
-        # and more, about a third of the CLI's start-up, and lave needs neither
+    """Fresh interpreters: scipy would be most of a command's start-up, and
+    lave runs on numpy alone. The GARCH code has its own simplex, scan and
+    logit, and lave.transform its own lgam and golden-section search."""
+
+    COMMANDS = (
+        ["estimate", "--design", "two-jump-3x", "--lam", "table:80"],
+        ["simulate", "--design", "two-jump-3x", "--replications", "20"],
+        ["calibrate", "--replications", "200"],
+        ["stats", "--design", "two-jump-3x"],
+        ["acf", "--design", "two-jump-3x", "--standardize", "--lam", "table:80"],
+        ["backtest", "--design", "two-jump-3x", "--lam", "table:80", "--garch-window", "100"],
+        ["constants"],
+    )
+
+    def _run(self, code):
         src = str(Path(lave.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        code = (
-            "import sys, lave.cli; "
-            "print([m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules])"
-        )
         proc = subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        return proc.stdout.splitlines()
 
-    def test_import_and_runs_load_no_scipy_optimize(self, tmp_path):
-        # a fresh interpreter: scipy is most of a command's start-up. The
-        # GARCH code has its own simplex, scan and logit, lgam is ported into
-        # lave.transform, and only a_gamma, so only `lave constants`, imports
-        # scipy.optimize
-        src = str(Path(lave.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = str(tmp_path)
+    def test_import_and_runs_load_no_scipy(self, tmp_path):
         code = f"""
 import sys, lave.cli
 def scipy_loaded():
     return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
 loaded = ["import"] if scipy_loaded() else []
-for argv in (
-    ["estimate", "--design", "two-jump-3x", "--lam", "table:80"],
-    ["simulate", "--design", "two-jump-3x", "--replications", "20"],
-    ["calibrate", "--replications", "200"],
-    ["stats", "--design", "two-jump-3x"],
-    ["acf", "--design", "two-jump-3x", "--standardize", "--lam", "table:80"],
-    ["backtest", "--design", "two-jump-3x", "--lam", "table:80", "--garch-window", "100"],
-):
-    assert lave.cli.main([*argv, "--out-dir", {out!r}, "--deterministic"]) == 0
+for argv in {self.COMMANDS!r}:
+    assert lave.cli.main([*argv, "--out-dir", {str(tmp_path)!r}, "--deterministic"]) == 0
     loaded += [argv[0]] if scipy_loaded() else []
-assert lave.cli.main(["constants", "--out-dir", {out!r}, "--deterministic"]) == 0
-print("scipy.optimize" in sys.modules)
 from lave.transform import power_constants
 print(loaded, repr(power_constants(0.5).a_gamma))
 """
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-2] == "True"
-        assert proc.stdout.splitlines()[-1] == "[] 1.0045849424076858"
+        assert self._run(code)[-1] == "[] 1.0045849424076858"
+
+    def test_every_command_runs_with_scipy_blocked(self, tmp_path):
+        assert sorted(argv[0] for argv in self.COMMANDS) == sorted(cli_mod._COMMANDS)
+        # a meta-path finder first in line makes every scipy import fail
+        code = f"""
+import sys
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{{name}} is blocked")
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    raise AssertionError("scipy was not blocked")
+import lave.cli
+for argv in {self.COMMANDS!r}:
+    assert lave.cli.main([*argv, "--out-dir", {str(tmp_path)!r}, "--deterministic"]) == 0, argv
+from lave.transform import power_constants
+print(repr(power_constants(0.5).a_gamma))
+"""
+        assert self._run(code)[-1] == "1.0045849424076858"
 
 
 class TestLogging:

@@ -824,23 +824,29 @@ class TestNelderMead:
         ]
         assert any(unevaluated) == (maxfev in (1, 2, 3, 6, 7, 8))
 
-    @pytest.mark.parametrize("maxfev", [239, 240])
-    def test_exhausted_inside_a_shrink_that_finds_a_new_best(self, monkeypatch, maxfev):
-        # on benchmark window 6 a shrink makes evaluations 239 to 241 and its
-        # first moved vertex falls below the best one; the budget ends before
-        # the shrink does, so only the re-sort puts the new best first
-        func, x0, _, _ = _cold_problem(monkeypatch, _window("benchmark", 6))
+    @pytest.mark.parametrize("maxfev", [29, 30])
+    def test_exhausted_inside_a_shrink_that_finds_a_new_best(self, maxfev):
+        # on the 3-D Rosenbrock function from (-1.5, 0.5, 2) a shrink makes
+        # evaluations 29 to 31 and its first moved vertex falls below the best
+        # one; the budget ends before the shrink does, so only the re-sort puts
+        # the new best first
         evaluated = []
 
         def recording(z):
             evaluated.append(z.copy())
-            return func(z)
+            return optimize.rosen(z)
 
         ref = _assert_scipy_steps(
-            recording, x0, xatol=1e-8, fatol=1e-10, maxiter=4000, maxfev=maxfev
+            recording, np.array([-1.5, 0.5, 2.0]), xatol=1e-8, fatol=1e-10, maxiter=4000,
+            maxfev=maxfev,
         )
-        assert ref.status == 1
-        assert any(np.array_equal(ref.x, z) for z in evaluated[238:maxfev])
+        assert ref.status == 1 and ref.nfev == maxfev
+        # scipy's evaluations come first: 29 on move vertices halfway to the best
+        before = [optimize.rosen(z) for z in evaluated[:28]]
+        best = evaluated[int(np.argmin(before))]
+        for z in evaluated[28:maxfev]:
+            assert any(np.array_equal(z, best + 0.5 * (v - best)) for v in evaluated[:28])
+        assert np.array_equal(ref.x, evaluated[28]) and ref.fun < min(before)
 
     @pytest.mark.parametrize("maxiter", [1, 2, 3, 5, 20, 100])
     def test_exhausted_iterations_equal_scipy(self, monkeypatch, maxiter):

@@ -36,9 +36,9 @@ def test_exports_keep_every_name():
 def test_each_export_is_its_defining_modules_object():
     for name in lave.__all__:
         homes = [m for m in MODULES if name in getattr(lave, m).__all__]
-        assert homes, name
-        for m in homes:
-            assert getattr(lave, name) is getattr(getattr(lave, m), name), (name, m)
+        # listed once, in the module that defines it
+        assert homes == [getattr(lave, name).__module__.removeprefix("lave.")], (name, homes)
+        assert getattr(lave, name) is getattr(getattr(lave, homes[0]), name), name
 
 
 def test_errors_module_lists_its_classes():

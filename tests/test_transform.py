@@ -7,9 +7,11 @@ which pins the quadrature to machine precision. Everything else is checked
 against frozen high-precision values or an independent Monte Carlo draw.
 """
 
+import math
+
 import numpy as np
 import pytest
-from scipy import special
+from scipy import optimize, special
 
 from lave import transform
 from lave.calibration import CalibrationSpec, calibrate_lambda
@@ -79,6 +81,54 @@ class TestLgamPort:
                 0.5 * g * np.log(2.0) + special.gammaln(0.5 * (g + 1.0)) - 0.5 * np.log(np.pi)
             )
             assert gaussian_abs_moment(g) == float(expect)
+
+
+def _assert_golden_bits(func, bracket):
+    # transform._golden_section against scipy's golden-section search, bit for bit
+    ref = optimize.minimize_scalar(func, bracket=bracket, method="golden", options={"xtol": 1e-10})
+    x, fun = transform._golden_section(func, *bracket)
+    assert np.float64(x).tobytes() == np.float64(ref.x).tobytes()
+    assert np.float64(fun).tobytes() == np.float64(ref.fun).tobytes()
+
+
+class TestGoldenSectionPort:
+    """transform._golden_section takes scipy's golden-section steps one for
+    one, so a_gamma keeps scipy's bits without importing scipy.optimize."""
+
+    def test_the_brackets_compute_a_gamma_refines(self, monkeypatch):
+        real = transform._golden_section
+        seen = []
+
+        def recording(func, xa, xb, xc):
+            seen.append((gamma, func, (xa, xb, xc)))
+            return real(func, xa, xb, xc)
+
+        gammas = [k / 20 for k in range(1, 21)]
+        with monkeypatch.context() as m:
+            m.setattr(transform, "_golden_section", recording)
+            for gamma in gammas:
+                compute_a_gamma(transform.moment_constants(gamma))
+        # below 0.5 the ratio peaks as u -> 0+, at 1 it rises toward its limit
+        assert [g for g, _, _ in seen] == gammas[9:19]
+        for _, func, bracket in seen:
+            _assert_golden_bits(func, bracket)
+
+    @pytest.mark.parametrize(
+        "func, bracket",
+        [
+            (lambda x: (x - 1.0) ** 2, (0.0, 0.5, 3.0)),
+            (lambda x: (x - 1.0) ** 2, (-2.0, 1.5, 2.0)),
+            (math.cos, (2.5, 3.0, 3.5)),
+            (math.cos, (2.0, 3.0, 5.0)),
+            (math.cos, (1.0, 3.5, 4.0)),
+            (lambda x: x * math.log(x), (0.1, 0.2, 1.0)),
+            (lambda x: x * math.log(x), (0.05, 0.6, 0.7)),
+        ],
+    )
+    def test_analytic_brackets_split_either_side_first(self, func, bracket):
+        # the first split goes into the wider side of the bracket, the left
+        # one on a tie
+        _assert_golden_bits(func, bracket)
 
 
 class TestPowerConstants:
