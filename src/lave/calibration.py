@@ -33,7 +33,7 @@ import numpy as np
 import numpy.random  # noqa: F401
 
 from .errors import CalibrationBracketError
-from .estimator import _block_sums, _split_terms, _test_terms
+from .estimator import _split_terms, _test_terms
 from .series import PowerParams, TransformedSeries
 from .transform import moment_constants
 
@@ -132,8 +132,14 @@ def _max_test_ratios(spec: CalibrationSpec) -> np.ndarray:
     m0, M = spec.m0, spec.M
     lengths = m0 * np.arange(1, M // m0 + 1)
     # candidate-major: blocks[i] is block i+1 counted back from M, and split
-    # j = i+1 tests blocks 1..j against the rest, blocks j+1..M // m0
-    blocks = _block_sums(y, m0)[:, M - lengths].T
+    # j = i+1 tests blocks 1..j against the rest, blocks j+1..M // m0. Only
+    # those blocks are summed, each over its m0 values in order, as
+    # _block_sums sums every block
+    start = M - lengths[-1]
+    sums = y[:, start::m0].copy()
+    for i in range(1, m0):
+        sums += y[:, start + i :: m0]
+    blocks = sums[:, ::-1].T
     tests = _test_terms(np.cumsum(blocks[:-1], axis=0), lengths[:-1, None], params.s_gamma)
     rest = np.cumsum(blocks[:0:-1], axis=0)[::-1]
     statistic, unit = _split_terms(rest, *tests, m0, params.s_gamma)

@@ -3,34 +3,29 @@ and the rolling one-step-ahead forecast pipeline.
 
 The variance recursion is sigma2_t = omega + alpha * R_{t-1}^2 +
 beta * sigma2_{t-1} with sigma2_1 supplied by the caller. It and the
-recursions of its derivatives below, all of the form y_t = x_t +
-beta y_{t-1}, run as blocked scans in numpy (_beta_recursion): blocks of
-at most 25 values are each solved by a small matmul, and the block ends
-carry forward by the same scan. Their drives are nonnegative, so each
-value is within 16 sqrt(n) eps of the exact solution, relative; the scan
-rounds differently from the step-by-step recursion. Fitting maximizes
-the Gaussian log likelihood on an unconstrained reparameterization
-(log omega, logit persistence, logit split), which keeps every iterate
-inside {omega > 0, alpha >= 0, beta >= 0, alpha + beta <= 1 - 1e-6}.
+recursions of its derivatives, all y_t = x_t + beta y_{t-1} with
+nonnegative drives, run as blocked numpy scans (_beta_recursion), within
+16 sqrt(n) eps of the exact solution, relative. Fitting maximizes the
+Gaussian log likelihood over (log omega, logit persistence, logit split),
+which keeps every iterate inside {omega > 0, alpha >= 0, beta >= 0,
+alpha + beta <= 1 - 1e-6}.
 
-A fit from the default start uses a Nelder-Mead simplex search. A fit
-warm-started from given parameters, as each refit of rolling_forecast is,
-uses Newton's method on the exact Hessian: the derivatives of sigma2_t
-follow the recursion d sigma2_t = (1, R_{t-1}^2, sigma2_{t-1}) +
-beta d sigma2_{t-1} with d sigma2_1 = 0, and the second derivatives the
-same recursion driven by d sigma2_{t-1}. From a neighbouring window's
-optimum it converges in about three steps whatever the data. Each
-evaluation forms the Hessian only where a Newton step uses it: the point
-whose gradient meets the tolerance, which ends every refit, skips it. The
-two searches do not always end at the same maximum when the likelihood has
-several. From the default start a local search can take a different local
-maximum than the simplex, so cold fits keep the simplex. It is written out
-here (_nelder_mead) and takes the steps of scipy's Nelder-Mead one for one,
-so a cold fit equals scipy's bit for bit without importing scipy.optimize,
-and no longer depends on the scipy version. A warm refit
-that starts with persistence at its cap, a local maximum flat in the logit
-of persistence, stays there; the simplex sometimes stepped off it to a
-higher interior maximum.
+A fit from the default start takes scipy's Nelder-Mead steps one for one
+(_nelder_mead), so it equals scipy's bit for bit without importing scipy.
+A fit warm-started from given parameters, as each refit of rolling_forecast
+is, takes Newton steps on the exact Hessian: d sigma2_t = (1, R_{t-1}^2,
+sigma2_{t-1}) + beta d sigma2_{t-1} with d sigma2_1 = 0, and the second
+derivatives follow the same recursion driven by d sigma2_{t-1}. From a
+neighbouring window's optimum it converges in about three steps whatever
+the data, and forms the Hessian only where a step uses it. The searches can
+end at different local maxima, so cold fits keep the simplex; a warm refit
+that starts on the persistence cap, a local maximum flat in its logit, stays
+there, where the simplex sometimes stepped to a higher interior one.
+
+A fit does its window's fixed work once (_Window): the squares, the sample
+variance that pins sigma2_1 and the constant rows of the derivative drives.
+rolling_forecast takes sigma2_t from the variance path of the point each
+refit returns, so no window is filtered twice; every forecast keeps its bits.
 """
 
 from __future__ import annotations
@@ -40,6 +35,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+# np.linalg.eigh's gufunc (dsyevd, lower triangle): its eigenpairs to the bit,
+# without the checks and error state that cost twice the 3 x 3 solve; numpy
+# has no public way round them. A solve that does not converge gives nan
+from numpy.linalg._umath_linalg import eigh_lo as _eigh
 
 from .errors import GarchConvergenceError
 from .series import ReturnSeries
@@ -109,7 +108,9 @@ def garch_filter(params: GarchParams, r: ReturnSeries, sigma0_sq: float) -> np.n
     """
     if not (sigma0_sq > 0.0):
         raise ValueError(f"sigma0_sq must be positive, got {sigma0_sq}")
-    return _variance_path(params, r.values**2, sigma0_sq)
+    r2 = r.values**2
+    drive = np.concatenate(([sigma0_sq], params.omega + params.alpha * r2[:-1]))
+    return _beta_recursion(params.beta, drive)
 
 
 # longest block of the blocked scan in _beta_recursion; a 350-value
@@ -134,12 +135,10 @@ def _block_solver(beta: float, b: int):
 @functools.lru_cache(maxsize=4)
 def _scan_plan(beta: float, n: int) -> tuple:
     # the blocked scan of n values: block length b, block count m, the block
-    # solver, and the carry, which adds beta^(1..b) times the solution at the
-    # end of block k - 1 to block k > 0. Those ends follow the same scan with
-    # beta^b: for at most _BLOCK of them that is one block solver, folded
-    # with beta^(1..b) into one (m - 1) x (m - 1) b matrix; beyond, a plan
-    # of its own. Built once per (beta, n), so the solves of one evaluation
-    # share it
+    # solver, and the carry of beta^(1..b) times the end of block k - 1 into
+    # block k > 0. The ends follow the same scan with beta^b: up to _BLOCK of
+    # them, one block solver folded with beta^(1..b) into an (m - 1) x
+    # (m - 1) b matrix; beyond, a plan of their own
     m = -(-n // _BLOCK)
     b = -(-n // m)
     lower, rises = _block_solver(beta, b)
@@ -148,12 +147,12 @@ def _scan_plan(beta: float, n: int) -> tuple:
     if m - 1 > _BLOCK:
         return b, m, lower, (_scan_plan(float(rises[-1]), m - 1), rises)
     ends, _ = _block_solver(float(rises[-1]), m - 1)
-    return b, m, lower, np.dot(ends.reshape(-1, 1), rises[None]).reshape(m - 1, -1)
+    return b, m, lower, (ends[:, :, None] * rises).reshape(m - 1, -1)
 
 
 def _blocked_scan(plan, x: np.ndarray) -> np.ndarray:
     # the recursion along the rows of a 2-D x, padded with zeros to m blocks
-    # of b; the caller drops the padding
+    # of b and the padding dropped again
     b, m, lower, carry = plan
     k, n = x.shape
     if b * m > n:
@@ -164,8 +163,8 @@ def _blocked_scan(plan, x: np.ndarray) -> np.ndarray:
         y[:, b:] += np.dot(ends, carry)
     elif carry is not None:  # the ends' own plan, and beta^(1..b)
         inner, rises = carry
-        y[:, b:] += (_blocked_scan(inner, ends)[:, : m - 1, None] * rises).reshape(k, -1)
-    return y
+        y[:, b:] += (_blocked_scan(inner, ends)[:, :, None] * rises).reshape(k, -1)
+    return y[:, :n]
 
 
 def _beta_recursion(beta: float, x: np.ndarray) -> np.ndarray:
@@ -174,13 +173,12 @@ def _beta_recursion(beta: float, x: np.ndarray) -> np.ndarray:
     For 0 <= beta <= 1 it runs as a blocked scan (Blelloch 1990, "Prefix
     sums and their applications", on first-order linear recurrences):
     blocks of at most 25 values are solved from zero by one matmul, and the
-    block ends carry into the next block by the same scan with beta^b. The
-    cost stays linear in the length, and the rows of a 2-D x are solved
-    together; x is left unchanged. The scan sums in another order than the
-    recursion: for nonnegative x, each y_t is within 16 sqrt(n) eps of the
-    exact solution, relative. Every value the scan forms is at most n
-    max|x_t| in magnitude, so it runs only where that cannot overflow, and
-    raises no floating-point warning. The recursion runs directly in Python
+    block ends carry into the next block by the same scan with beta^b, so
+    the cost stays linear in the length; the rows of a 2-D x are solved
+    together, and x is left unchanged. For nonnegative x each y_t is within
+    16 sqrt(n) eps of the exact solution, relative. Every value the scan
+    forms is at most n max|x_t|, so it runs only where that cannot overflow
+    and raises no floating-point warning. The recursion runs in Python
     floats otherwise: for a single value, for beta outside [0, 1], where
     powers of beta grow, and for large or non-finite x, where a path that
     overflows keeps its finite prefix.
@@ -188,21 +186,12 @@ def _beta_recursion(beta: float, x: np.ndarray) -> np.ndarray:
     beta = float(beta)
     n = x.shape[-1]
     if n > 1 and 0.0 <= beta <= 1.0 and n * float(np.abs(x).max()) < _SCAN_BOUND:
-        return _blocked_scan(_scan_plan(beta, n), x.reshape(-1, n))[:, :n].reshape(x.shape)
+        return _blocked_scan(_scan_plan(beta, n), x.reshape(-1, n)).reshape(x.shape)
     rows = np.reshape(x, (-1, n)).tolist()
     for row in rows:
         for t in range(1, n):
             row[t] += beta * row[t - 1]
     return np.array(rows).reshape(x.shape)
-
-
-def _variance_path(params: GarchParams, r2: np.ndarray, sigma0_sq: float) -> np.ndarray:
-    # the recursion on squared returns r2, one or more, with the start
-    # sigma2_1 = sigma0_sq as its first drive
-    drive = np.empty(r2.size)
-    drive[0] = sigma0_sq
-    drive[1:] = params.omega + params.alpha * r2[:-1]
-    return _beta_recursion(params.beta, drive)
 
 
 def garch_loglik(params: GarchParams, r: ReturnSeries, sigma0_sq: float) -> float:
@@ -236,62 +225,91 @@ def _expit(x: float) -> float:
     return 1.0 / (1.0 + math.exp(-x))
 
 
-def _unpack(z: np.ndarray) -> GarchParams:
-    # clip keeps exp/expit finite; the box is far wider than any useful fit.
-    # omega keeps numpy's exp, which rounds differently from math.exp
-    z0, z1, z2 = (min(max(c, -40.0), 40.0) for c in np.asarray(z, dtype=float).tolist())
+def _coefficients(z: list) -> tuple:
+    # (omega, alpha, beta) at the list z, clipped to a box that keeps exp and
+    # expit finite; omega keeps numpy's exp, which rounds unlike math.exp
+    z0, z1, z2 = (min(max(c, -40.0), 40.0) for c in z)
     q = (1.0 - _MARGIN) * _expit(z1)
     f = _expit(z2)
-    return GarchParams(omega=float(np.exp(z0)), alpha=q * f, beta=q * (1.0 - f))
+    return float(np.exp(z0)), q * f, q * (1.0 - f)
 
 
-def _path_and_cost(params: GarchParams, r2: np.ndarray, sigma0_sq: float):
-    # the variance path and -garch_loglik on squared returns r2
-    s2 = _variance_path(params, r2, sigma0_sq)
-    return s2, 0.5 * float((np.log(s2) + r2 / s2).sum())
+def _unpack(z: np.ndarray) -> GarchParams:
+    return GarchParams(*_coefficients(np.asarray(z, dtype=float).tolist()))
+
+
+class _Window:
+    """A fit window's fixed work, done once: its squares, the sample
+    variance that pins sigma2_1, and its recursions' drives, with the
+    constant rows (ones and the lagged squares) filled in."""
+
+    def __init__(self, values: np.ndarray):
+        n = values.size
+        self.sigma0_sq = float(np.var(values))
+        if not (self.sigma0_sq > 0.0):
+            raise ValueError("sample variance must be positive")
+        self.r2 = values**2
+        self.twice_r2 = 2.0 * self.r2
+        self.drive = np.empty((1, n))  # drives the variance path
+        self.drive[0, 0] = self.sigma0_sq
+        self.drives = np.zeros((3, n))  # drive d s2_t / d(omega, alpha, beta)
+        self.drives[0, 1:], self.drives[1, 1:] = 1.0, self.r2[:-1]
+        self.lagged = np.zeros((3, n))  # drive the second derivatives
+        # omega <= e^40 and alpha, beta <= 1 bound every value an evaluation's
+        # scans form by 2 n^3 (e^40 + max(1, sigma0_sq, R^2)); far below
+        # _SCAN_BOUND, _beta_recursion's checks cannot fail, so scan skips them
+        top = math.exp(40.0) + max(1.0, self.sigma0_sq, float(self.r2.max()))
+        self.tame = 4.0 * n**3 * top < _SCAN_BOUND
+
+    def scan(self, beta: float, x: np.ndarray) -> np.ndarray:
+        # _beta_recursion(beta, x) on rows of the window's length
+        if self.tame:
+            return _blocked_scan(_scan_plan(beta, x.shape[1]), x)
+        return _beta_recursion(beta, x)
+
+    def path_and_cost(self, omega: float, alpha: float, beta: float):
+        # the variance path and -garch_loglik at (omega, alpha, beta)
+        self.drive[0, 1:] = omega + alpha * self.drives[1, 1:]
+        s2 = self.scan(beta, self.drive)[0]
+        return s2, 0.5 * float((np.log(s2) + self.r2 / s2).sum())
 
 
 def _not_finite():
     # what _loglik_grad_hess returns where a result is not finite
-    return np.inf, np.zeros(3), np.zeros((3, 3))
+    return np.inf, np.zeros(3), np.zeros((3, 3)), None
 
 
-def _loglik_grad_hess(z: np.ndarray, r2: np.ndarray, sigma0_sq: float):
-    """Negative log likelihood at _unpack(z) with its gradient and Hessian in z.
+def _loglik_grad_hess(z: np.ndarray, window: _Window):
+    """Negative log likelihood at _unpack(z) on a window, its gradient and
+    Hessian in z, and its variance path.
 
-    The Hessian is formed only where a Newton step uses it: at a point
-    whose gradient already meets _GTOL, where _newton_fit stops, it is
-    None. Returns (inf, zeros(3), zeros((3, 3))) where the value, the
-    gradient or a formed Hessian is not finite, so a line search retreats
-    instead of erroring.
+    The Hessian is None where the gradient meets _GTOL, where _newton_fit
+    stops without a step. Returns (inf, zeros(3), zeros((3, 3)), None) where
+    the value, the gradient or a formed Hessian is not finite, so a line
+    search retreats instead of erroring.
     """
-    params = _unpack(z)
-    omega, alpha, beta = params.omega, params.alpha, params.beta
-    s2, value = _path_and_cost(params, r2, sigma0_sq)
+    z = z.tolist()
+    omega, alpha, beta = _coefficients(z)
+    s2, value = window.path_and_cost(omega, alpha, beta)
     if not math.isfinite(value):
         return _not_finite()
-    # d s2_t / d(omega, alpha, beta), zero at t = 1. Every recursion runs at
-    # the window length, so the three solves of an evaluation share
-    # _scan_plan(beta, n); the derivatives' zero first column adds nothing
-    # to the sums below
-    drives = np.empty((3, r2.size))
-    drives[:, 0] = 0.0
-    drives[0, 1:], drives[1, 1:], drives[2, 1:] = 1.0, r2[:-1], s2[:-1]
-    ds2 = _beta_recursion(beta, drives)
-    weight = 0.5 * (s2 - r2) / s2**2  # d(value) / d s2_t
+    # d s2_t / d(omega, alpha, beta), whose zero first column adds nothing to
+    # the sums below; the scans of an evaluation share _scan_plan(beta, n)
+    drives = window.drives
+    drives[2, 1:] = s2[:-1]
+    ds2 = window.scan(beta, drives)
+    weight = 0.5 * (s2 - window.r2) / s2**2  # d(value) / d s2_t
     score = ds2 @ weight
     # chain through _unpack: omega = e^z0, (alpha, beta) = q (f, 1 - f) with
     # q = (1 - _MARGIN) expit(z1), f = expit(z2); its clip has zero gradient
     q = alpha + beta
     tail = 1.0 - q / (1.0 - _MARGIN)  # 1 - expit(z1)
     split = alpha * beta / q  # q f (1 - f)
-    jacobian = np.array([
-        [omega, 0.0, 0.0],
-        [0.0, alpha * tail, beta * tail],
-        [0.0, split, -split],
-    ])
+    jacobian = np.array(
+        [[omega, 0.0, 0.0], [0.0, alpha * tail, beta * tail], [0.0, split, -split]]
+    )
     grad = jacobian @ score
-    inside = [abs(c) <= 40.0 for c in np.asarray(z, dtype=float).tolist()]
+    inside = [abs(c) <= 40.0 for c in z]
     clipped = not all(inside)
     if clipped:
         grad = np.where(inside, grad, 0.0)
@@ -299,32 +317,33 @@ def _loglik_grad_hess(z: np.ndarray, r2: np.ndarray, sigma0_sq: float):
     if not all(map(math.isfinite, steep)):
         return _not_finite()
     if max(map(abs, steep)) < _GTOL:
-        return value, grad, None
+        return value, grad, None, s2
     # d2 s2_t / d(omega, alpha, beta) d beta: driven by d s2_{t-1}, twice
     # for (beta, beta); every pair without beta has zero second derivative
-    lagged = np.zeros_like(drives)
+    lagged = window.lagged
     lagged[:, 1:] = ds2[:, :-1]
     lagged[2] *= 2.0
-    d2s2 = _beta_recursion(beta, lagged)
-    curvature = 0.5 * (2.0 * r2 - s2) / s2**3  # d2(value) / d s2_t^2
+    d2s2 = window.scan(beta, lagged)
+    curvature = 0.5 * (window.twice_r2 - s2) / s2**3  # d2(value) / d s2_t^2
     hess = (ds2 * curvature) @ ds2.T
     cross = d2s2 @ weight
     hess[:, 2] += cross
     hess[2, :2] += cross[:2]
-    hess = jacobian @ hess @ jacobian.T
+    h = (jacobian @ hess @ jacobian.T).tolist()
     # second derivatives of _unpack, weighted by the score
     s_omega, s_alpha, s_beta = score.tolist()
     tilt = s_alpha - s_beta
-    hess[0, 0] += omega * s_omega
-    hess[1, 1] += tail * (2.0 * tail - 1.0) * (alpha * s_alpha + beta * s_beta)
-    hess[1, 2] += split * tail * tilt
-    hess[2, 1] += split * tail * tilt
-    hess[2, 2] += split * (1.0 - 2.0 * alpha / q) * tilt
+    h[0][0] += omega * s_omega
+    h[1][1] += tail * (2.0 * tail - 1.0) * (alpha * s_alpha + beta * s_beta)
+    h[1][2] += split * tail * tilt
+    h[2][1] += split * tail * tilt
+    h[2][2] += split * (1.0 - 2.0 * alpha / q) * tilt
+    if not all(map(math.isfinite, h[0] + h[1] + h[2])):
+        return _not_finite()
+    hess = np.array(h)
     if clipped:
         hess = hess * np.outer(inside, inside)
-    if not all(map(math.isfinite, hess.ravel().tolist())):
-        return _not_finite()
-    return value, grad, hess
+    return value, grad, hess, s2
 
 
 # warm refits: converged at a gradient below _GTOL in every coordinate of z;
@@ -335,50 +354,43 @@ _STALL_GTOL = 1e-4
 _MAX_NEWTON_STEPS = 100
 
 
-def _newton_fit(z: np.ndarray, r2: np.ndarray, sigma0_sq: float) -> GarchParams:
+def _newton_fit(z: np.ndarray, window: _Window) -> tuple:
     """Minimize the negative log likelihood from z by Newton steps.
 
     Each step solves with the exact Hessian, its eigenvalues replaced by
     their absolute values (floored) so the step always descends, then halves
     until the Armijo condition holds. Near the optimum, where rounding hides
     the decrease, a step that raises the value by no more than rounding is
-    accepted too.
+    accepted too. Returns the fit and its variance path.
     """
-    value, grad, hess = _loglik_grad_hess(z, r2, sigma0_sq)
+    def failed(message):
+        return GarchConvergenceError(message, best_params=_unpack(z), best_loglik=-value)
+
+    value, grad, hess, path = _loglik_grad_hess(z, window)
     if not math.isfinite(value):
-        raise GarchConvergenceError(
-            "fit did not converge: log likelihood is not finite at the start",
-            best_params=_unpack(z),
-            best_loglik=-value,
-        )
+        raise failed("fit did not converge: log likelihood is not finite at the start")
     for _ in range(_MAX_NEWTON_STEPS):
-        if max(map(abs, grad.tolist())) < _GTOL:
-            return _unpack(z)
-        eigval, eigvec = np.linalg.eigh(hess)
-        scale = max(float(np.max(np.abs(eigval))), 1.0)
+        steep = max(map(abs, grad.tolist()))
+        if steep < _GTOL:
+            return _unpack(z), path
+        eigval, eigvec = _eigh(hess)
+        scale = max(max(map(abs, eigval.tolist())), 1.0)
         step = -eigvec @ ((eigvec.T @ grad) / np.maximum(np.abs(eigval), 1e-8 * scale))
         slope = float(grad @ step)
         t = 1.0
         while True:
-            trial = _loglik_grad_hess(z + t * step, r2, sigma0_sq)
+            moved = z + t * step
+            trial = _loglik_grad_hess(moved, window)
             if trial[0] <= value + 1e-4 * t * slope or trial[0] - value <= 1e-13 * abs(value):
                 break
             t *= 0.5
             if t < 1e-10:
-                if max(map(abs, grad.tolist())) < _STALL_GTOL:
-                    return _unpack(z)
-                raise GarchConvergenceError(
-                    "fit did not converge: line search found no decrease",
-                    best_params=_unpack(z),
-                    best_loglik=-value,
-                )
-        z = z + t * step
-        value, grad, hess = trial
-    raise GarchConvergenceError(
-        f"fit did not converge in {_MAX_NEWTON_STEPS} Newton steps",
-        best_params=_unpack(z),
-        best_loglik=-value,
-    )
+                if steep < _STALL_GTOL:
+                    return _unpack(z), path
+                raise failed("fit did not converge: line search found no decrease")
+        z = moved
+        value, grad, hess, path = trial
+    raise failed(f"fit did not converge in {_MAX_NEWTON_STEPS} Newton steps")
 
 
 # Nelder-Mead moves: reflection, expansion, contraction and shrink
@@ -478,24 +490,17 @@ def _nelder_mead(func, x0, xatol, fatol, maxiter, maxfev):
         sim = np.take(sim, ind, 0)
         fsim = np.take(fsim, ind, 0)
 
-    if calls >= maxfev:
-        status = 1
-    elif iterations >= maxiter:
-        status = 2
-    else:
-        status = 0
+    status = 1 if calls >= maxfev else 2 if iterations >= maxiter else 0
     return sim[0], np.min(fsim), status
 
 
 def garch_fit(r: ReturnSeries, init: GarchParams | None = None) -> GarchParams:
     """Maximum-likelihood fit of the variance recursion.
 
-    Searches the reparameterized (log scale, logit persistence, logit
-    split) domain; deterministic given the data and the starting point.
-    Without init the search is a Nelder-Mead simplex from omega = 0.1 *
-    sample variance, alpha = 0.1, beta = 0.8, written out in this module
-    and equal to scipy's step for step (_nelder_mead), so the fit does not
-    depend on the scipy version. With init it is Newton's
+    Searches (log scale, logit persistence, logit split), deterministic
+    given the data and the start. Without init the search is a Nelder-Mead
+    simplex from omega = 0.1 * sample variance, alpha = 0.1, beta = 0.8,
+    equal to scipy's step for step (_nelder_mead). With init it is Newton's
     method on the exact Hessian, started at init; it has converged at a
     gradient below 1e-8 in every coordinate, or below 1e-4 where the line
     search finds no further decrease. The first variance is pinned to the
@@ -506,29 +511,23 @@ def garch_fit(r: ReturnSeries, init: GarchParams | None = None) -> GarchParams:
     values = r.values
     if values.size < 50:
         raise ValueError(f"need at least 50 observations, got {values.size}")
-    sigma0_sq = float(np.var(values))
-    if not (sigma0_sq > 0.0):
-        raise ValueError("sample variance must be positive")
-    r2 = values**2
+    return _fit(_Window(values), init)[0]
+
+
+def _fit(window: _Window, init: GarchParams | None) -> tuple:
+    # garch_fit on a window's fixed work: the fit and the variance path at it
     if init is not None:
-        return _newton_fit(_pack(init), r2, sigma0_sq)
+        return _newton_fit(_pack(init), window)
 
     def objective(z):
-        # -garch_loglik(_unpack(z), r, sigma0_sq) on the window squared once;
-        # invalid or non-finite: retreat instead of erroring mid-search
-        try:
-            _, value = _path_and_cost(_unpack(z), r2, sigma0_sq)
-        except ValueError:
-            return 1e12
+        # -garch_loglik(_unpack(z), ...); where that is not finite, retreat
+        # instead of erroring mid-search
+        value = window.path_and_cost(*_coefficients(z.tolist()))[1]
         return value if math.isfinite(value) else 1e12
 
+    start = _pack(GarchParams(omega=0.1 * window.sigma0_sq, alpha=0.1, beta=0.8))
     x, fun, status = _nelder_mead(
-        objective,
-        _pack(GarchParams(omega=0.1 * sigma0_sq, alpha=0.1, beta=0.8)),
-        xatol=1e-8,
-        fatol=1e-10,
-        maxiter=4000,
-        maxfev=8000,
+        objective, start, xatol=1e-8, fatol=1e-10, maxiter=4000, maxfev=8000
     )
     best = _unpack(x)
     if status:
@@ -537,7 +536,7 @@ def garch_fit(r: ReturnSeries, init: GarchParams | None = None) -> GarchParams:
             best_params=best,
             best_loglik=-float(fun),
         )
-    return best
+    return best, window.path_and_cost(best.omega, best.alpha, best.beta)[0]
 
 
 def garch_simulate(params: GarchParams, n: int, seed: int) -> ReturnSeries:
@@ -576,14 +575,14 @@ def rolling_forecast(r: ReturnSeries, window: int = 350) -> RollingForecast:
     fallbacks = []
     params = None
     for t in range(window, n):
-        chunk = ReturnSeries(values[t - window : t], origin_label=f"window@{t}")
+        state = _Window(values[t - window : t])
         try:
-            params = garch_fit(chunk, init=params)
+            params, path = _fit(state, params)
         except GarchConvergenceError as exc:
             fallbacks.append(t)
             params = params if params is not None else exc.best_params
-        s2_t = float(garch_filter(params, chunk, float(np.var(chunk.values)))[-1])
-        forecast = params.omega + params.alpha * values[t - 1] ** 2 + params.beta * s2_t
+            path = garch_filter(params, ReturnSeries(values[t - window : t]), state.sigma0_sq)
+        forecast = params.omega + params.alpha * values[t - 1] ** 2 + params.beta * float(path[-1])
         forecasts.append((t, float(forecast)))
     return RollingForecast(
         forecasts=tuple(forecasts), fallback_times=tuple(fallbacks), window=window

@@ -18,9 +18,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
-# np.percentile reaches np.unique, which loads numpy.ma on first use; loaded
-# with this module, so that cost falls at start-up rather than in a study
-import numpy.ma  # noqa: F401
 
 from .errors import DegenerateWindowError
 from .estimator import EstimatorConfig, batch_estimate
@@ -222,6 +219,28 @@ def detection_delays(taus, lens, change_point: int, m0: int) -> np.ndarray:
     return np.where(collapsed.any(axis=1), delays, np.nan)
 
 
+def _quartiles(x: np.ndarray) -> np.ndarray:
+    """np.percentile(x, [25, 50, 75], axis=0) of finite x, bit for bit.
+
+    The order statistics either side of (n - 1) q come from one
+    np.partition, and numpy's linear-method lerp joins them, with its
+    t >= 0.5 branch. np.percentile itself calls np.unique, which loads
+    numpy.ma, about 15 ms of start-up.
+    """
+    n = x.shape[0]
+    at = (n - 1) * np.array([0.25, 0.5, 0.75])
+    below = np.where(at >= n - 1, -1.0, np.floor(at)).astype(np.intp)  # -1: n = 1
+    above = np.where(below < 0, -1, below + 1)
+    # the kth np.percentile passes, so equal values of either sign land alike
+    part = np.partition(x, sorted({0, -1, *below.tolist(), *above.tolist()}), axis=0)
+    a, b = part[below], part[above]
+    t = (at - below).reshape((3,) + (1,) * (x.ndim - 1))
+    diff = b - a
+    out = a + diff * t
+    np.subtract(b, diff * (1 - t), out=out, where=t >= 0.5)
+    return out
+
+
 def _score_gamma(returns, sigma, config, entries, wanted):
     """The cells and the wanted curves of one gamma's (m_label, lam) entries,
     all from one batch_estimate scan of the draws. The scan's results are
@@ -242,8 +261,8 @@ def _score_gamma(returns, sigma, config, entries, wanted):
         )
         if (gamma, m_label) not in wanted:
             continue
-        q25, med, q75 = np.percentile(sigma_hat, [25.0, 50.0, 75.0], axis=0)
-        l25, lmed, l75 = np.percentile(lens, [25.0, 50.0, 75.0], axis=0)
+        q25, med, q75 = _quartiles(sigma_hat)
+        l25, lmed, l75 = _quartiles(lens)
         curves[(gamma, m_label)] = CurveTable(
             taus=taus,
             sigma_true=sigma[taus - 1],

@@ -628,14 +628,16 @@ class TestStartup:
         return proc.stdout.splitlines()
 
     def test_import_and_runs_load_no_scipy(self, tmp_path):
+        # nor numpy.ma, which np.percentile loads through np.unique: about
+        # 15 ms of every command's start-up
         code = f"""
 import sys, lave.cli
-def scipy_loaded():
-    return any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
-loaded = ["import"] if scipy_loaded() else []
+def unwanted_loaded():
+    return "numpy.ma" in sys.modules or any(m == "scipy" or m.startswith("scipy.") for m in sys.modules)
+loaded = ["import"] if unwanted_loaded() else []
 for argv in {self.COMMANDS!r}:
     assert lave.cli.main([*argv, "--out-dir", {str(tmp_path)!r}, "--deterministic"]) == 0
-    loaded += [argv[0]] if scipy_loaded() else []
+    loaded += [argv[0]] if unwanted_loaded() else []
 from lave.transform import power_constants
 print(loaded, repr(power_constants(0.5).a_gamma))
 """
@@ -668,16 +670,16 @@ print(repr(power_constants(0.5).a_gamma))
 
 class TestLogging:
     def test_backtest_warns_once_with_the_fallback_count(self, tmp_path, caplog, monkeypatch):
-        real_fit = garch_mod.garch_fit
+        real_fit = garch_mod._fit
         calls = {"n": 0}
 
-        def flaky(r, init=None):
+        def flaky(window, init):
             calls["n"] += 1
             if calls["n"] in (3, 4, 9):
                 raise GarchConvergenceError("budget", best_params=None, best_loglik=0.0)
-            return real_fit(r, init=init)
+            return real_fit(window, init)
 
-        monkeypatch.setattr(garch_mod, "garch_fit", flaky)
+        monkeypatch.setattr(garch_mod, "_fit", flaky)
         f = tmp_path / "returns.csv"
         write_returns(f, np.random.default_rng(2).standard_normal(80))
         argv = ["backtest", "--input", str(f), "--garch-window", "60", "--lam", "2.74",

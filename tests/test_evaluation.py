@@ -226,16 +226,16 @@ class TestCompareForecasters:
             compare_forecasters(r, cfg, garch_window=50)
 
     def test_garch_fallbacks_are_reported(self, monkeypatch):
-        real_fit = garch_mod.garch_fit
+        real_fit = garch_mod._fit
         calls = {"n": 0}
 
-        def flaky(r, init=None):
+        def flaky(window, init):
             calls["n"] += 1
             if calls["n"] in (2, 5):
                 raise GarchConvergenceError("budget", best_params=None, best_loglik=0.0)
-            return real_fit(r, init=init)
+            return real_fit(window, init)
 
-        monkeypatch.setattr(garch_mod, "garch_fit", flaky)
+        monkeypatch.setattr(garch_mod, "_fit", flaky)
         r = ReturnSeries(np.random.default_rng(21).standard_normal(120))
         comp = compare_forecasters(r, CFG, garch_window=100)
         assert comp.garch_fallback_times == (101, 104)
@@ -266,15 +266,16 @@ class TestBreakSeriesGarch:
         # falls. Measured worst: mean log likelihood 0.357 below the simplex
         # and ratio 0.95680 -> 0.93892, both seed 13. Refits frozen at the
         # first window's fit fall up to 2.07 below.
-        real_fit = garch_mod.garch_fit
+        real_fit = garch_mod._fit
         logliks = []
 
-        def recording(r, init=None):
-            params = real_fit(r, init=init)
-            logliks.append(garch_mod.garch_loglik(params, r, float(np.var(r.values))))
-            return params
+        def recording(window, init):
+            params, path = real_fit(window, init)
+            # garch_loglik of the fit on the window, from its variance path
+            logliks.append(-0.5 * float(np.sum(np.log(path) + window.r2 / path)))
+            return params, path
 
-        monkeypatch.setattr(garch_mod, "garch_fit", recording)
+        monkeypatch.setattr(garch_mod, "_fit", recording)
         alternating = tuple((60, 1.0) if i % 2 == 0 else (60, 3.0) for i in range(10))
         loglik_gap, ratio_drift = [], []
         for seed in range(20):

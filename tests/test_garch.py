@@ -269,10 +269,10 @@ class TestRollingForecast:
     def test_fallback_uses_best_params_when_no_fit_ever_succeeds(self, monkeypatch):
         best = GarchParams(omega=0.2, alpha=0.05, beta=0.9)
 
-        def always_fail(r, init=None):
+        def always_fail(window, init):
             raise GarchConvergenceError("budget", best_params=best, best_loglik=-1.0)
 
-        monkeypatch.setattr(garch_mod, "garch_fit", always_fail)
+        monkeypatch.setattr(garch_mod, "_fit", always_fail)
         rng = np.random.default_rng(1)
         values = rng.standard_normal(80)
         rf = rolling_forecast(ReturnSeries(values), window=50)
@@ -286,21 +286,21 @@ class TestRollingForecast:
         assert fc == pytest.approx(expect, rel=1e-12)
 
     def test_fallback_reuses_previous_fit(self, monkeypatch):
-        real_fit = garch_mod.garch_fit
+        real_fit = garch_mod._fit
         returned = []
         calls = {"n": 0}
 
-        def flaky(r, init=None):
+        def flaky(window, init):
             calls["n"] += 1
             if calls["n"] == 3:
                 raise GarchConvergenceError(
                     "budget", best_params=GarchParams(9.9, 0.0, 0.0), best_loglik=0.0
                 )
-            p = real_fit(r, init=init)
+            p, path = real_fit(window, init)
             returned.append(p)
-            return p
+            return p, path
 
-        monkeypatch.setattr(garch_mod, "garch_fit", flaky)
+        monkeypatch.setattr(garch_mod, "_fit", flaky)
         rng = np.random.default_rng(14)
         values = rng.standard_normal(60)
         rf = rolling_forecast(ReturnSeries(values), window=50)
@@ -397,6 +397,74 @@ _BENCHMARK_7_FORECASTS = (
     0.7298399300930534, 0.7347634131688343, 0.6912298595927564, 0.6992318347594678,
     0.6989577113794864, 0.6707806983590247, 0.6293191803391516, 0.5956579758183663,
     0.562671417327126, 0.6051146898814879,
+)
+
+# the same on _benchmark_returns(0), whose first window's cold fit crawls
+# toward persistence 0 (1297 simplex evaluations, alpha 1.5e-29)
+_BENCHMARK_0_FORECASTS = (
+    0.5761415935915769, 0.5769254712383775, 0.575598998307443, 0.5756709716601963,
+    0.5767592931806607, 0.5766899484126853, 0.5778524725392192, 0.577802381033077,
+    0.575475928616497, 0.5740776134405992, 0.5760970004699664, 0.5706645371678138,
+    0.5701454954644037, 0.5701397512645419, 0.5699778855737755, 0.5698431016833531,
+    0.5717277166103051, 0.5715870588692574, 0.5749629899333145, 0.5744180747467175,
+    0.5756240038883226, 0.5704715892674831, 0.5655643159171725, 0.5657179527818146,
+    0.5651734329798859, 0.5660384402905652, 0.5624293887008993, 0.5609448622951939,
+    0.5617507723179926, 0.5634735240978149, 0.5692410111015878, 0.5621392097481392,
+    0.5655560282921297, 0.5598146260191783, 0.5625199814982689, 0.5501841090221194,
+    0.5505250272479043, 0.5503480059711195, 0.5494101828097777, 0.5444911326639383,
+    0.547809126435297, 0.5489703656588911, 0.5466808575169756, 0.5469155805475299,
+    0.5439562553643157, 0.543839980014493, 0.5475172918927983, 0.5481864395632207,
+    0.5485581940391732, 0.5456367062984282, 0.5478979016588948, 0.5477646740203612,
+    0.5476858729467694, 0.5476840638574042, 0.5485162828604604, 0.5497909999931213,
+    0.5453269546053789, 0.5507476609714135, 0.5509499208072087, 0.5498108057918603,
+    0.5527486773692353, 0.5518927176042095, 0.5560826476771921, 0.5543867707538077,
+    0.5576861737769738, 0.5560235760403731, 0.5627531614310193, 0.5659933040012199,
+    0.5673528332540165, 0.5698423521471364, 0.5720996765764039, 0.5731981869519703,
+    0.5729091181204752, 0.5751671046120762, 0.5761946567283582, 0.571702755876538,
+    0.5710440739492079, 0.5575647905698986, 0.5643792294820145, 0.563393805053062,
+    0.5659349275729486, 0.5658343005084123, 0.5629129857556057, 0.563980921681943,
+    0.5630222065685313, 0.5606068674344028, 0.5606376435227828, 0.5616458306943446,
+    0.561332885259949, 0.5605910085311818, 0.5574892643578485, 0.5558649493516155,
+    0.5616363754233137, 0.5611113638687989, 0.5608749763567196, 0.5604768785911918,
+    0.5612328089453475, 0.5610543675457836, 0.5563472871861918, 0.5525524125377933,
+    0.5522965920172437, 0.5516644010015271, 0.5520687955084422, 0.5514759644708349,
+    0.547798405309296, 0.5493320926083511, 0.5499060565676117, 0.5453423679331172,
+    0.5441180699305618, 0.5417255039285956, 0.541622259498409, 0.5416838643300055,
+    0.5421728835648804, 0.5398253690072387, 0.5376909829110671, 0.5397358964912798,
+    0.5405461520222538, 0.538915684825956, 0.538961421316628, 0.539440053593506,
+    0.5535082206502083, 0.5531752822120313, 0.5546966612095638, 0.5549815102749487,
+    0.5548998541646207, 0.5566202649937356, 0.5603762864342153, 0.5617099128819586,
+    0.5617071280532755, 0.5620750634879239, 0.5612380401071626, 0.5608618936602299,
+    0.5601383052086969, 0.5603007371474181, 0.5597033724686156, 0.5585077430877298,
+    0.5585408506651188, 0.5579941406546982, 0.5595116624115676, 0.5577659502495957,
+    0.5626520234874441, 0.5668414003073895, 0.5662417246003416, 0.566189658639982,
+    0.5666952055076787, 0.5755557248580238, 0.5756305669734412, 0.5745806799542529,
+    0.5743720537197119, 0.5772059704484455, 0.5859734494796638, 0.572523476174655,
+    0.5722717687420303, 0.5721131125280513, 0.5728630134682456, 0.5769314327370699,
+    0.5771345690973979, 0.5772476273717486, 0.577640721848345, 0.5790970817649977,
+    0.5765340460853292, 0.5768343395646586, 0.5769505130137391, 0.5690981957981756,
+    0.568657366130902, 0.5752452192999813, 0.5752286919977457, 0.5937156417999769,
+    0.58982590839459, 0.5941623362413201, 0.5860948386110753, 0.5844619978174245,
+    0.5819168227819206, 0.5789867845276867, 0.5789844087179822, 0.5757812758184335,
+    0.5784650186340778, 0.5768655656171576, 0.5797246837260677, 0.5767669240609622,
+    0.5750472378378227, 0.5780899306214391, 0.5752630145241032, 0.5750721624420378,
+    0.581248679954286, 0.5802901886166848, 0.578774601798798, 0.5774500270184286,
+    0.5774007656802849, 0.5710069099458565, 0.5708183239286582, 0.5700945397667722,
+    0.5613795484279951, 0.5584943849326064, 0.5614242472287657, 0.5620829939788483,
+    0.5673114555756948, 0.5710086432027456, 0.5721797875411103, 0.5726297751415141,
+    0.5717636534988239, 0.5718186832358882, 0.570006819603012, 0.5644274750483794,
+    0.5635374764191803, 0.564353192494307, 0.5632948269760277, 0.562514659314987,
+    0.5548117509469408, 0.5540569306288138, 0.5558745845749924, 0.5558416503294195,
+    0.5549711295161789, 0.5567659621358211, 0.5531706345233665, 0.5524234558156231,
+    0.550352336956571, 0.5457990674047106, 0.5526349589398519, 0.5541088597132875,
+    0.5573397690417327, 0.5573629109937533, 0.5570283399611825, 0.5510816745124113,
+    0.5535186194615497, 0.5540382888185786, 0.5545790009916005, 0.5554440782177515,
+    0.5596861602343444, 0.5639698912642962, 0.5635187780846129, 0.5643550762036795,
+    0.5710008666195483, 0.5675569295655576, 0.568428765096872, 0.5676913275604121,
+    0.5684861092870415, 0.5712170940720673, 0.5705962081533577, 0.5708030840232596,
+    0.5679767482595167, 0.5680623481891337, 0.5630407298359257, 0.5607709768705496,
+    0.5624224117628369, 0.5606689676409953, 0.5598725787321902, 0.5606187673222892,
+    0.5589263383235616, 0.5588956016572263,
 )
 
 
@@ -569,7 +637,7 @@ class TestAnalyticDerivatives:
         r = garch_simulate(TRUE, 350, seed=3)
         s0 = float(np.var(r.values))
         z = garch_mod._pack(params)
-        value, grad, _ = garch_mod._loglik_grad_hess(z, r.values**2, s0)
+        value, grad, _, _ = garch_mod._loglik_grad_hess(z, garch_mod._Window(r.values))
         assert value == -garch_loglik(garch_mod._unpack(z), r, s0)
 
         def objective(x):
@@ -583,12 +651,12 @@ class TestAnalyticDerivatives:
     @pytest.mark.parametrize("params", SCORE_POINTS)
     def test_hessian_matches_central_differences_of_the_gradient(self, params):
         r = garch_simulate(TRUE, 350, seed=3)
-        s0 = float(np.var(r.values))
         z = garch_mod._pack(params)
-        _, _, hess = garch_mod._loglik_grad_hess(z, r.values**2, s0)
+        window = garch_mod._Window(r.values)
+        _, _, hess, _ = garch_mod._loglik_grad_hess(z, window)
 
         def gradient(x):
-            return garch_mod._loglik_grad_hess(x, r.values**2, s0)[1]
+            return garch_mod._loglik_grad_hess(x, window)[1]
 
         h = 1e-6
         fd = np.array([(gradient(z + h * e) - gradient(z - h * e)) / (2 * h) for e in np.eye(3)])
@@ -599,7 +667,7 @@ class TestAnalyticDerivatives:
     def test_zero_where_the_box_clips(self):
         r = garch_simulate(TRUE, 350, seed=3)
         z = np.array([np.log(0.05), 45.0, -41.0])
-        _, grad, hess = garch_mod._loglik_grad_hess(z, r.values**2, float(np.var(r.values)))
+        _, grad, hess, _ = garch_mod._loglik_grad_hess(z, garch_mod._Window(r.values))
         assert grad[0] != 0.0 and hess[0, 0] != 0.0
         assert grad[1] == 0.0 and grad[2] == 0.0
         assert not hess[1:].any() and not hess[:, 1:].any()
@@ -629,6 +697,61 @@ class TestWarmFits:
         assert [t for t, _ in rf.forecasts] == list(range(350, 600))
         assert tuple(fc for _, fc in rf.forecasts) == _BENCHMARK_7_FORECASTS
 
+    def test_where_the_simplex_crawls_every_forecast_is_frozen_bit_for_bit(self):
+        values = _benchmark_returns(0)
+        cold = garch_fit(ReturnSeries(values[:350]))
+        assert (cold.omega, cold.alpha, cold.beta) == (
+            0.5761415935895952, 1.4613303992709976e-29, 3.4397564596945275e-12
+        )
+        rf = rolling_forecast(ReturnSeries(values), window=350)
+        assert rf.fallback_times == ()
+        assert [t for t, _ in rf.forecasts] == list(range(350, 600))
+        assert tuple(fc for _, fc in rf.forecasts) == _BENCHMARK_0_FORECASTS
+
+    def test_a_stalled_refit_forecasts_from_the_point_it_returns(self, monkeypatch):
+        # once an evaluation's gradient is below _STALL_GTOL but not _GTOL,
+        # every later trial of the refit is walled off: its value is raised
+        # by 1, so the line search finds no decrease and the refit stops by
+        # the stall rule at its last accepted point. The walled trials keep
+        # their own variance paths, so a forecast taken from the last point
+        # evaluated instead of the point returned would differ
+        real_eval, real_fit = garch_mod._loglik_grad_hess, garch_mod._fit
+        walled, stalled, returned = [], [], []
+
+        def wall(z, window):
+            value, grad, hess, path = real_eval(z, window)
+            if walled[-1]:
+                return value + 1.0, grad, hess, path
+            walled[-1] = garch_mod._GTOL <= np.max(np.abs(grad)) < garch_mod._STALL_GTOL
+            return value, grad, hess, path
+
+        def fit(window, init):
+            walled.append(False)
+            params, path = real_fit(window, init)
+            stalled.append(walled[-1])
+            returned.append(params)
+            return params, path
+
+        monkeypatch.setattr(garch_mod, "_loglik_grad_hess", wall)
+        monkeypatch.setattr(garch_mod, "_fit", fit)
+        values = np.random.default_rng(5).standard_normal(160)
+        rf = rolling_forecast(ReturnSeries(values), window=100)
+        assert rf.fallback_times == ()
+        assert sum(stalled) >= 30
+        for (t, fc), p in zip(rf.forecasts, returned):
+            chunk = ReturnSeries(values[t - 100 : t])
+            s2 = garch_filter(p, chunk, float(np.var(chunk.values)))[-1]
+            assert fc == p.omega + p.alpha * values[t - 1] ** 2 + p.beta * s2
+
+    def test_no_state_carries_from_one_call_to_the_next(self):
+        a = ReturnSeries(np.random.default_rng(21).standard_normal(160))
+        b = ReturnSeries(2.0 * np.random.default_rng(22).standard_normal(200))
+        first = rolling_forecast(a, window=100)
+        other = rolling_forecast(b, window=100)
+        again = rolling_forecast(a, window=100)
+        assert len(other) == 100 and other.forecasts[:60] != first.forecasts
+        assert np.array(again.forecasts).tobytes() == np.array(first.forecasts).tobytes()
+
     def test_only_the_converged_point_of_a_warm_refit_goes_without_a_hessian(
         self, monkeypatch
     ):
@@ -637,21 +760,21 @@ class TestWarmFits:
         real = garch_mod._loglik_grad_hess
         skipped = []
 
-        def recording(z, r2, sigma0_sq):
-            value, grad, hess = real(z, r2, sigma0_sq)
+        def recording(z, window):
+            value, grad, hess, path = real(z, window)
             skipped[-1].append(hess is None)
             if hess is None:
                 assert np.max(np.abs(grad)) < garch_mod._GTOL
-            return value, grad, hess
+            return value, grad, hess, path
 
-        real_fit = garch_mod.garch_fit
+        real_fit = garch_mod._fit
 
-        def fit(r, init=None):
+        def fit(window, init):
             skipped.append([])
-            return real_fit(r, init=init)
+            return real_fit(window, init)
 
         monkeypatch.setattr(garch_mod, "_loglik_grad_hess", recording)
-        monkeypatch.setattr(garch_mod, "garch_fit", fit)
+        monkeypatch.setattr(garch_mod, "_fit", fit)
         rolling_forecast(ReturnSeries(_benchmark_returns(7)), window=350)
         warm = skipped[1:]
         assert len(warm) == 249 and skipped[0] == []
@@ -663,18 +786,18 @@ class TestWarmFits:
         real = garch_mod._loglik_grad_hess
         calls = []
 
-        def counting(z, r2, sigma0_sq):
+        def counting(z, window):
             calls[-1] += 1
-            return real(z, r2, sigma0_sq)
+            return real(z, window)
 
-        real_fit = garch_mod.garch_fit
+        real_fit = garch_mod._fit
 
-        def fit(r, init=None):
+        def fit(window, init):
             calls.append(0)
-            return real_fit(r, init=init)
+            return real_fit(window, init)
 
         monkeypatch.setattr(garch_mod, "_loglik_grad_hess", counting)
-        monkeypatch.setattr(garch_mod, "garch_fit", fit)
+        monkeypatch.setattr(garch_mod, "_fit", fit)
         rolling_forecast(ReturnSeries(_benchmark_returns(7)), window=350)
         warm = calls[1:]
         assert len(warm) == 249 and calls[0] == 0
@@ -686,7 +809,7 @@ class TestWarmFits:
         monkeypatch.setattr(
             garch_mod,
             "_loglik_grad_hess",
-            lambda z, r2, sigma0_sq: (np.inf, np.zeros(3), np.zeros((3, 3))),
+            lambda z, window: (np.inf, np.zeros(3), np.zeros((3, 3)), None),
         )
         with pytest.raises(GarchConvergenceError) as info:
             garch_fit(r, init=TRUE)
@@ -702,10 +825,10 @@ class TestWarmFits:
         z0 = garch_mod._pack(start)
         real = garch_mod._loglik_grad_hess
 
-        def walled(z, r2, sigma0_sq):
+        def walled(z, window):
             if np.max(np.abs(z - z0)) > radius:
-                return np.inf, np.zeros(3), np.zeros((3, 3))
-            return real(z, r2, sigma0_sq)
+                return np.inf, np.zeros(3), np.zeros((3, 3)), None
+            return real(z, window)
 
         monkeypatch.setattr(garch_mod, "_loglik_grad_hess", walled)
         try:

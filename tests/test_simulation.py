@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import lave.simulation as simulation_mod
 from lave.estimator import EstimatorConfig, estimate_path
 from lave.series import ReturnSeries
 from lave.simulation import (
@@ -327,3 +328,19 @@ class TestExperimentHarness:
         design = ChangePointSpec(segments=TWO_JUMP_3X)
         with pytest.raises(ValueError):
             run_change_point_experiment(design, {(0.5, 80): 2.74}, replications=0)
+
+
+def test_quartiles_equal_numpy_percentile_bit_for_bit():
+    # the curves' quartiles without np.percentile, which loads numpy.ma:
+    # float and int input, with and without ties and signed zeros, at every
+    # replication count from 1 to 2001
+    rng = np.random.default_rng(0)
+    for n in range(1, 2002):
+        for x in (
+            rng.lognormal(0.0, 1.0, (n, 3)),
+            rng.integers(0, 40, (n, 3)) * 10,
+            np.round(rng.standard_normal((n, 3)), 1),
+        ):
+            expect = np.percentile(x, [25.0, 50.0, 75.0], axis=0)
+            got = simulation_mod._quartiles(x)
+            assert got.dtype == expect.dtype and got.tobytes() == expect.tobytes(), (n, x.dtype)
