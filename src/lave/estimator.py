@@ -17,11 +17,15 @@ split as `homogeneity_test` does. Each candidate step spends little beyond
 that arithmetic: a row's kept candidates are counted, its theta_hat is read
 once from the test-side terms already stored when it leaves the working
 set, and gaps are decided from each row's first all-zero block, tracked
-only once one is gathered. `_scan_taus` walks the taus in blocks of bounded
-size, so memory does not grow with n, writes each row's results once into
-its output, and runs the few rows that blocks leave scanning long in
-pooled passes of the same kernel, each once the pool fills the block budget
-or the last block is done. `_scan_path` applies the gaps and serves
+only once one is gathered and looked for only in a scan whose block sums
+hold a zero. The test-side terms and each threshold's comparison are
+written into the working set and buffers allocated with it, not into new
+arrays each step. `_scan_taus` walks the taus in blocks of bounded size, so
+memory does not grow with n, writes each row's results once into its
+output, stored tau-major so that the rows of one tau land side by side,
+and runs the few rows that blocks leave scanning long in pooled passes of
+the same kernel, each once the pool fills the block budget or the last
+block is done. `_scan_path` applies the gaps and serves
 `estimate_path` (one row) and `batch_estimate` (one row per Monte Carlo
 replication); `_scan_at_tau` is the scan at one tau, which `forecast_next`
 runs, and calibration shares its split arithmetic.
@@ -328,14 +332,16 @@ def _block_sums(values: np.ndarray, m0: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(rows, width, axis=1).sum(axis=1)
 
 
-def _test_terms(test_sums: np.ndarray, test_lens, s_gamma: float):
+def _test_terms(test_sums: np.ndarray, test_lens, s_gamma: float, out=(None, None)):
     """Test-side terms of the splits whose test windows sum to test_sums:
     theta_test = test_sums / test_len and v_test^2, formed as
-    homogeneity_test forms them. Neither depends on the candidate, so the
-    scan computes them once per column."""
-    theta_test = test_sums / test_lens
-    v_test = s_gamma * theta_test / np.sqrt(test_lens)
-    return theta_test, v_test * v_test
+    homogeneity_test forms them, into the pair of arrays out if given.
+    Neither depends on the candidate, so the scan computes them once per
+    column."""
+    theta_test = np.divide(test_sums, test_lens, out=out[0])
+    v_test = np.multiply(s_gamma, theta_test, out=out[1])
+    v_test /= np.sqrt(test_lens)
+    return theta_test, np.multiply(v_test, v_test, out=v_test)
 
 
 def _split_terms(rest, theta_test, v_test_sq, m0: int, s_gamma: float):
@@ -351,8 +357,9 @@ def _split_terms(rest, theta_test, v_test_sq, m0: int, s_gamma: float):
     """
     rest_lens = m0 * np.arange(rest.shape[0], 0, -1, dtype=float)[:, None]
     theta_rest = rest / rest_lens
-    statistic = np.abs(theta_rest - theta_test)
     # in place, in homogeneity_test's order of operations
+    statistic = np.subtract(theta_rest, theta_test)
+    np.abs(statistic, out=statistic)
     v_rest = np.multiply(s_gamma, theta_rest, out=theta_rest)
     v_rest /= np.sqrt(rest_lens)
     v_rest *= v_rest
@@ -363,8 +370,9 @@ def _split_terms(rest, theta_test, v_test_sq, m0: int, s_gamma: float):
 # Budget of one block of taus: its rows (series x taus) times the largest
 # candidate count among them, its last tau's. The scan's working set holds
 # three float arrays of that size (the rest sums of every split and the two
-# test-side terms of each column), and one candidate's split temporaries are
-# no larger, so a block takes a small multiple of 2**16 floats however long
+# test-side terms of each column) and buffers for one candidate's lam * root
+# and comparison, and its split temporaries are no larger, so a block takes a
+# small multiple of 2**16 floats however long
 # the series or wide the batch. A pooled pass of stragglers keeps to the same
 # budget.
 _BLOCK_ELEMENTS = 2**16
@@ -408,9 +416,11 @@ def _tau_blocks(counts: np.ndarray, n_series: int) -> list[int]:
 
 def _write_rows(out, m0: int, rows, chosen, state, first_zero, cols):
     """Write the results of the working-set columns cols of _scan_rows into
-    out = (lens, theta, gap), each (thresholds, N), at the rows'
-    destinations: the chosen length, theta_test of the last kept candidate,
-    and the gap flag, set where a zero block lies within the row's stop."""
+    out = (lens, theta, gap), each (thresholds, N) and gap None where no
+    block sum is zero, at the rows' destinations (flat positions in the
+    tau-major results of _scan_taus): the chosen length, theta_test of the
+    last kept candidate, and the gap flag, set where a zero block lies
+    within the row's stop."""
     counts = chosen.take(cols, axis=1)
     dest = rows[0].take(cols)
     theta = state[1].take((counts - 1) * state.shape[2] + cols)
@@ -418,10 +428,19 @@ def _write_rows(out, m0: int, rows, chosen, state, first_zero, cols):
     if first_zero is not None:
         gap = first_zero.take(cols) <= np.minimum(counts + 1, rows[2].take(cols))
     for i in range(counts.shape[0]):
-        out[0][i].put(dest, counts[i] * m0)
-        out[1][i].put(dest, theta[i])
+        out[0][i][dest] = counts[i] * m0
+        out[1][i][dest] = theta[i]
         if gap is not None:
-            out[2][i].put(dest, gap[i])
+            out[2][i][dest] = gap[i]
+
+
+def _working_set(count: int, n_rows: int):
+    """A working set of _scan_rows for n_rows rows of at most count
+    candidates: per candidate k - 1, the rest sums of its splits, then
+    theta_test and v_test^2 of its test window; and room for one step's
+    lam * root and its comparison with the statistic."""
+    splits = max(count - 1, 0), n_rows
+    return np.empty((3, count, n_rows)), np.empty(splits), np.empty(splits, dtype=bool)
 
 
 def _scan_rows(flat_blocks, rows, m0: int, lams, s_gamma: float, out, pool=None):
@@ -449,7 +468,8 @@ def _scan_rows(flat_blocks, rows, m0: int, lams, s_gamma: float, out, pool=None)
     are counted (chosen += live), and its theta_hat, the theta_test column
     of its last kept candidate, is read once, when the row leaves the
     working set. Gaps are decided from each row's first zero block, which is
-    tracked only from the first step whose gathered blocks hold a zero: a
+    looked for only when out holds a gap array, and tracked only from the
+    first step whose gathered blocks hold a zero: a
     row is degenerate exactly when one of the blocks 1..stop is zero, stop
     being the rejected candidate or else the last, min(chosen + 1, count).
     Every examined window holds block 1 or the oldest block of its
@@ -473,19 +493,21 @@ def _scan_rows(flat_blocks, rows, m0: int, lams, s_gamma: float, out, pool=None)
     rows in one more scan without a pool. They restart there at k = 1,
     so their results are the same bits.
 
-    Memory: the working set's three (count, rows) float arrays, the rows
-    and per row a test sum, a count and a flag per threshold, and the
-    first zero block once one is seen; a compaction holds the old and the
-    new working set for a moment.
+    Memory: the working set's three (count, rows) float arrays and its
+    (count - 1, rows) buffers for lam * root (float) and the comparison
+    (bool), the rows and per row a test sum, a count and a flag per
+    threshold, and the first zero block once one is seen; a compaction
+    holds the old and the new working set for a moment, and drops the old
+    one once its columns are copied.
     """
     n_rows = rows.shape[1]
-    # per candidate k - 1: the rest sums of its splits, then theta_test and
-    # v_test^2 of its test window
-    state = np.empty((3, int(rows[2].max()), n_rows))
+    state, scaled, rejects = _working_set(int(rows[2].max()), n_rows)
     test_sum = np.zeros(n_rows)
     chosen = np.zeros((lams.size, n_rows), dtype=np.int64)
     live = np.ones((lams.size, n_rows), dtype=bool)
     first_zero = None
+    # without a gap array to write, no block sum of the scan is zero
+    zeros = out[2] is not None
     _, at, n_cand = rows
     fewest = int(n_cand.min())
     lam_list, top = lams.tolist(), int(lams.argmax())
@@ -514,28 +536,31 @@ def _scan_rows(flat_blocks, rows, m0: int, lams, s_gamma: float, out, pool=None)
                 first_zero = first_zero.take(keep)
             _, at, n_cand = rows
             held = state
-            state = np.empty((3, int(n_cand.max()), keep.size))
+            state, scaled, rejects = _working_set(int(n_cand.max()), keep.size)
             for old, new in zip(held, state):
                 old[: k - 1].take(keep, axis=1, out=new[: k - 1], mode="clip")
+            del held, old, new
             fewest = int(n_cand.min())
 
         # masked rows gather too; past its last candidate a row reads a
         # clipped block whose value is never used
         block = flat_blocks.take(at - k * m0, mode="clip")
-        if not block.all():
+        if zeros and not block.all():
             if first_zero is None:
                 first_zero = np.full(block.size, k_last + 1)
             zero = block == 0.0
             first_zero[zero] = np.minimum(first_zero[zero], k)
         test_sum += block
         rest, theta_test, v_test_sq = state[:, :k]
-        theta_test[k - 1], v_test_sq[k - 1] = _test_terms(test_sum, k * m0, s_gamma)
+        _test_terms(test_sum, k * m0, s_gamma, out=(theta_test[k - 1], v_test_sq[k - 1]))
         if k > 1:
             rest[k - 2] = block
             rest[: k - 2] += block
             statistic, root = _split_terms(rest[:-1], theta_test[:-1], v_test_sq[:-1], m0, s_gamma)
+            scaled_k, rejects_k = scaled[: k - 1], rejects[: k - 1]
             for lam, live_under in zip(lam_list, live):
-                live_under ^= (statistic > lam * root).any(axis=0) & live_under
+                np.greater(statistic, np.multiply(lam, root, out=scaled_k), out=rejects_k)
+                live_under ^= rejects_k.any(axis=0) & live_under
         chosen += live
 
     _write_rows(out, m0, rows, chosen, state, first_zero, np.arange(rows.shape[1]))
@@ -557,7 +582,11 @@ def _scan_taus(
     min(tau, max_len) // m0. Returns (lams.size, R, taus.size) arrays:
     chosen length, theta_hat and a flag for rows where select_interval
     would raise; a flagged row keeps the length and theta_hat the scan
-    reached.
+    reached. Each is a transposed view of a tau-major (lams.size,
+    taus.size, R) array, not a copy: row (series s, tau index i) is written
+    at s + R * i, so the rows of one tau, series-major within every block,
+    land side by side. The gap flags are written only where a block sum is
+    zero, which the scan checks once.
 
     The taus are scanned by _scan_rows in the blocks of _tau_blocks, each
     sized by its own largest candidate count to at most _BLOCK_ELEMENTS
@@ -570,31 +599,36 @@ def _scan_taus(
     among its rows, so a block is given the pool only when the scan has
     more than k_last blocks, and the last block only when the pool already
     holds rows. Besides one block's or one pooled pass's working set, the
-    scan holds its results, 17 bytes per entry and threshold, and three
-    ints per pooled row.
+    scan holds its results, 17 bytes per entry and threshold (the length,
+    theta_hat and the flag, each stored once in the tau-major arrays), and
+    three ints per pooled row.
     """
     n_series, width = blocks.shape
     flat_blocks = blocks.ravel()
     counts = _candidate_counts(taus, m0, max_len)
-    shape = (lams.size, n_series, taus.size)
+    shape = (lams.size, taus.size, n_series)
     results = (np.empty(shape, dtype=np.int64), np.empty(shape), np.zeros(shape, dtype=bool))
-    out = tuple(a.reshape(lams.size, -1) for a in results)
+    lens, theta, gap = (a.reshape(lams.size, -1) for a in results)
+    # a row is degenerate only where one of its blocks sums to zero
+    out = lens, theta, (None if blocks.all() else gap)
     series = np.arange(n_series)[:, None]
+    at_series = width * series
     bounds = _tau_blocks(counts, n_series)
     pool = []
     for lo, hi in zip(bounds, bounds[1:]):
         # destination, flat block position and candidate count of each row
-        columns = (
-            taus.size * series + np.arange(lo, hi), width * series + taus[lo:hi], counts[lo:hi]
-        )
-        rows = np.stack(np.broadcast_arrays(*columns)).reshape(3, -1)
+        rows = np.empty((3, n_series, hi - lo), dtype=np.int64)
+        rows[0] = series + n_series * np.arange(lo, hi)
+        rows[1] = at_series + taus[lo:hi]
+        rows[2] = counts[lo:hi]
+        rows = rows.reshape(3, -1)
         shared = counts[hi - 1] < len(bounds) - 1 and (bool(pool) or hi < taus.size)
         _scan_rows(flat_blocks, rows, m0, lams, s_gamma, out, pool if shared else None)
         pooled = sum(p.shape[1] for p in pool)
         if pooled and (hi == taus.size or pooled * int(counts[hi - 1]) > _BLOCK_ELEMENTS):
             _scan_rows(flat_blocks, np.concatenate(pool, axis=1), m0, lams, s_gamma, out)
             pool.clear()
-    return results
+    return tuple(a.transpose(0, 2, 1) for a in results)
 
 
 def _rejected_lengths(lens, taus, m0: int, max_len: int | None = None):
@@ -627,7 +661,8 @@ def _scan_path(blocks: np.ndarray, n: int, config: EstimatorConfig, lams):
     each threshold of lams (any order; config.lam is not used).
 
     blocks : _block_sums of (R, n) transformed series. Returns taus and
-    (lams.size, R, taus.size) arrays theta and lens, entry i under lams[i];
+    (lams.size, R, taus.size) arrays theta and lens, entry i under lams[i],
+    the transposed views of _scan_taus;
     a degenerate window leaves a gap, NaN in theta and 0 in lens. The scan
     is one _scan_taus over all the taus, which bounds its memory in n; the
     gaps are applied to its results here, in one pass over each array.
@@ -670,6 +705,10 @@ def batch_estimate(returns: np.ndarray, config: EstimatorConfig, *, lams=None):
     returns has shape (replications, n). Gives (taus, sigma_hat, lens) where
     sigma_hat and lens have shape (replications, taus.size); degenerate
     windows appear as NaN / 0, matching estimate_path's gap convention.
+    sigma_hat and lens may be views that are not C-contiguous (the scan
+    stores its results tau-major); a reduction over them, such as np.sum,
+    adds in memory order, so a caller that needs the bits of a
+    C-ordered sum makes a C-ordered copy first.
 
     lams, a sequence of positive thresholds in any order, replaces
     config.lam: the draws are scanned once for all of them, and sigma_hat

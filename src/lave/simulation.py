@@ -255,7 +255,10 @@ def _score_gamma(returns, sigma, config, entries, wanted):
             "degenerate window inside the scored range"
         )
     for (m_label, lam), sigma_hat, lens in zip(entries, sigma_hats, lens_all):
-        err = float(np.sum(((sigma_hat - sigma[taus - 1]) / sigma[taus - 1]) ** 2))
+        # sigma_hat may be a transposed view, and np.sum adds in memory
+        # order: a C-ordered difference keeps the sum over (replications, taus)
+        diff = np.subtract(sigma_hat, sigma[taus - 1], order="C")
+        err = float(np.sum((diff / sigma[taus - 1]) ** 2))
         cells.append(
             ExperimentCell(gamma=gamma, lam=lam, m_label=m_label, error=err)
         )

@@ -22,9 +22,11 @@ returns.
 A block down to a few live rows hands them to a pool, and the pooled rows
 of many blocks restart in one pass. A wide batch whose rows mostly stop
 early pins that pass to the reference, also where a zero block is reached
-by a pooled straggler under the larger of two thresholds only. A gap is
-decided from a row's first zero block, so one that a masked row gathers
-past its stop must leave no gap.
+by a pooled straggler under the larger of two thresholds only. The kernel
+looks for zero blocks only in a scan whose block sums hold one, so a zero
+block first gathered by a later block of taus and a pooled pass must still
+leave its gaps. A gap is decided from a row's first zero block, so one that
+a masked row gathers past its stop must leave no gap.
 
 Several thresholds, in any order, share one scan: the working set holds a
 row while it is live under the largest. Each threshold's results must equal a scan under
@@ -424,7 +426,7 @@ def test_experiment_scans_each_gamma_once_and_matches_one_run_per_threshold():
 
 def record_pooled_rows(monkeypatch):
     """Spy on _scan_rows: returns a list that collects the destinations
-    (entries of the flat (series, taus) results) of the rows each scan
+    (entries of the flat (taus, series) results) of the rows each scan
     hands to the pool."""
     handed = []
     scan = estimator._scan_rows
@@ -472,7 +474,7 @@ def test_stragglers_of_many_blocks_run_in_one_pooled_pass_and_match_the_referenc
     taus, sigma_hat, lens = batch_estimate(returns, config, lams=list(lams))
 
     pooled = np.concatenate(handed)
-    series, column = np.divmod(pooled, taus.size)
+    column, series = np.divmod(pooled, rows)
     # the pool gathers rows from many blocks, most of them rows of the
     # homogeneous series; many of these run to their last candidate
     assert np.unique(column).size > 20
@@ -520,7 +522,7 @@ def test_zero_block_reached_by_a_pooled_straggler_under_the_larger_threshold_onl
     taus, sigma_hat, lens = batch_estimate(returns, config, lams=[high, low])
     monkeypatch.undo()
 
-    series, column = np.divmod(np.concatenate(handed), taus.size)
+    column, series = np.divmod(np.concatenate(handed), rows)
     in_zero_rows = np.isin(series, zero_rows)
     gap_high_only = (lens[0, series, column] == 0) & (lens[1, series, column] > 0)
     cases = np.flatnonzero(in_zero_rows & gap_high_only)
@@ -536,6 +538,60 @@ def test_zero_block_reached_by_a_pooled_straggler_under_the_larger_threshold_onl
         one = batch_estimate(returns, EstimatorConfig(gamma=0.5, m0=m0, lam=lam))
         assert_same_bits(one[1], sigma_hat[i])
         assert_same_bits(one[2], lens[i])
+
+
+def test_zero_block_first_gathered_after_the_first_block_of_taus_leaves_its_gaps(monkeypatch):
+    rows, n, m0 = 1000, 120, 5
+    returns, stragglers = straggler_batch(rows, n, seed=15)
+    # the batch's only all-zero m0-block lies 12 blocks back from the last
+    # tau in a few homogeneous rows, far past the first block of taus
+    zero_rows, start = stragglers[:4], n - 60
+    returns[zero_rows, start : start + m0] = 0.0
+    lams = high, low = 2.4, 0.9
+    config = EstimatorConfig(gamma=0.5, m0=m0, lam=high)
+    params = power_constants(config.gamma)
+    y = np.abs(returns) ** config.gamma
+    assert np.count_nonzero(_block_sums(y, m0) == 0.0) == zero_rows.size
+
+    # per _scan_rows call: its rows' destinations, whether it ran rows
+    # handed to the pool before, and whether its working set gathered a
+    # zero block (a write-out that tracks the first zero blocks)
+    calls, handed = [], []
+    scan, write = estimator._scan_rows, estimator._write_rows
+
+    def scan_spy(flat_blocks, rows, m0, lams, s_gamma, out, pool=None):
+        pooled = bool(handed) and np.isin(rows[0], np.concatenate(handed)).all()
+        calls.append({"pooled": pooled, "zero": False})
+        before = len(pool) if pool is not None else 0
+        scan(flat_blocks, rows, m0, lams, s_gamma, out, pool)
+        if pool is not None:
+            handed.extend(p[0] for p in pool[before:])
+
+    def write_spy(out, m0, rows, chosen, state, first_zero, cols):
+        calls[-1]["zero"] |= first_zero is not None
+        write(out, m0, rows, chosen, state, first_zero, cols)
+
+    monkeypatch.setattr(estimator, "_scan_rows", scan_spy)
+    monkeypatch.setattr(estimator, "_write_rows", write_spy)
+    taus, sigma_hat, lens = batch_estimate(returns, config, lams=list(lams))
+    monkeypatch.undo()
+
+    assert not calls[0]["zero"]
+    assert any(c["zero"] and not c["pooled"] for c in calls[1:])
+    assert any(c["zero"] and c["pooled"] for c in calls)
+    # gaps lie only in the zero rows, at taus whose windows can reach the
+    # zero block, and there they match select_interval under both thresholds
+    reach = taus > start
+    gaps = lens == 0
+    assert gaps[:, zero_rows].any(axis=(1, 2)).all()
+    assert not gaps[:, :, ~reach].any() and not np.delete(gaps, zero_rows, axis=1).any()
+    for s in zero_rows:
+        series_y = TransformedSeries(y[s], gamma=config.gamma)
+        for j in np.flatnonzero(reach):
+            for i, lam in enumerate(lams):
+                ref = reference_at(series_y, int(taus[j]), m0, lam, params)
+                assert (ref is None) == (lens[i, s, j] == 0) == np.isnan(sigma_hat[i, s, j])
+                assert ref is None or ref[0] == lens[i, s, j], (s, j, lam)
 
 
 def test_zero_block_past_a_rows_stop_leaves_no_gap():

@@ -252,6 +252,25 @@ class TestExperimentHarness:
         expected = relative_error_criterion(pairs, t_start=20)
         assert res.cells[0].error == pytest.approx(expected, rel=1e-12)
 
+    def test_each_error_sums_its_thresholds_rows_in_c_order(self):
+        # batch_estimate may return transposed views, and np.sum adds in
+        # memory order: each cell's bits are those of the sum over a
+        # C-contiguous (replications, taus) array
+        design = ChangePointSpec(segments=TWO_JUMP_3X)
+        lambdas = {(2.0, 40): 1.86, (2.0, 80): 2.18}
+        res = run_change_point_experiment(
+            design, lambdas, replications=300, seed=3, curves_for=[]
+        )
+        sigma = design.sigma_path()
+        returns = sigma * np.random.default_rng(3).standard_normal((300, sigma.size))
+        config = EstimatorConfig(gamma=2.0, m0=10, lam=1.86, t0=20)
+        taus, sigma_hats, _ = batch_estimate(returns, config, lams=list(lambdas.values()))
+        truth = sigma[taus - 1]
+        assert [(cell.m_label, cell.lam) for cell in res.cells] == [(40, 1.86), (80, 2.18)]
+        for cell, sigma_hat in zip(res.cells, sigma_hats):
+            rows = np.ascontiguousarray(sigma_hat)
+            assert cell.error == float(np.sum(((rows - truth) / truth) ** 2))
+
     def test_window_collapses_after_jump(self, small_result):
         curves = small_result.curves[(0.5, 80)]
         at = {int(t): m for t, m in zip(curves.taus, curves.len_median)}
