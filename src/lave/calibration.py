@@ -32,6 +32,7 @@ import numpy as np
 # calibration
 import numpy.random  # noqa: F401
 
+from ._record import Record, ValueRecord
 from .errors import CalibrationBracketError
 from .estimator import _split_terms, _test_terms
 from .series import PowerParams, TransformedSeries
@@ -52,8 +53,8 @@ _RATE_TOL = 0.005
 _LAMBDA_TOL = 1e-3
 
 
-@dataclass(frozen=True)
-class CalibrationSpec:
+@dataclass(init=False, repr=False, eq=False)
+class CalibrationSpec(ValueRecord):
     """Settings for one calibration run.
 
     M : length of the homogeneous series. The longest candidate window,
@@ -90,8 +91,8 @@ class CalibrationSpec:
             raise ValueError("replications must be positive")
 
 
-@dataclass(frozen=True, eq=False)
-class CalibrationResult:
+@dataclass(init=False, repr=False, eq=False)
+class CalibrationResult(Record):
     """Calibrated threshold with the rate it achieves on the calibration draws.
 
     ci_halfwidth is the 95% binomial half-width at the target rate: rates

@@ -34,6 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._record import ValueRecord
 from .calibration import CalibrationSpec, calibrate_lambda
 from .errors import CalibrationBracketError, GarchConvergenceError, InputDataError, LaveError
 from .estimator import EstimatorConfig, estimate_path
@@ -80,8 +81,8 @@ _VALUE_HEADERS = {
 _DATE_HEADERS = {"date", "time", "timestamp", "day"}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+@dataclass(init=False, repr=False, eq=False)
+class RunConfig(ValueRecord):
     """Parsed flags for one CLI invocation; echoed into output headers."""
 
     command: str
@@ -223,7 +224,8 @@ def ingest_csv(path, kind: str = "auto") -> ReturnSeries:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8-sig")
+        # not "utf-8-sig": its decode error counts offsets after the mark
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")
     except OSError as exc:
         raise InputDataError(f"cannot read {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

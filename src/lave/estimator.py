@@ -52,6 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record, ValueRecord
 from .errors import DegenerateWindowError
 from .series import PowerParams, ReturnSeries, TransformedSeries, VolEstimate, theta_to_sigma
 from .transform import moment_constants, power_transform
@@ -73,8 +74,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class IntervalGrid:
+@dataclass(init=False, repr=False, eq=False)
+class IntervalGrid(ValueRecord):
     """Candidate window lengths available at time tau: m0, 2*m0, ... <= tau."""
 
     m0: int
@@ -107,15 +108,17 @@ class IntervalGrid:
         return cls(m0=int(m0), tau=int(tau), interval_lengths=tuple(k * m0 for k in ks))
 
 
-@dataclass(frozen=True)
-class HomogeneityTest:
+@dataclass(init=False, repr=False, eq=False)
+class HomogeneityTest(ValueRecord):
+    """One split test's verdict: reject iff statistic > threshold."""
+
     statistic: float
     threshold: float
     reject: bool
 
 
-@dataclass(frozen=True)
-class TestRecord:
+@dataclass(init=False, repr=False, eq=False)
+class TestRecord(ValueRecord):
     """One comparison from the selection scan (reject iff statistic > threshold)."""
 
     candidate_len: int
@@ -128,8 +131,8 @@ class TestRecord:
         return self.statistic > self.threshold
 
 
-@dataclass(frozen=True, eq=False)
-class SelectionResult:
+@dataclass(init=False, repr=False, eq=False)
+class SelectionResult(Record):
     """Outcome of the interval scan at one time point.
 
     chosen_len : length of the selected interval of homogeneity.
@@ -155,8 +158,8 @@ class SelectionResult:
         )
 
 
-@dataclass(frozen=True)
-class EstimatorConfig:
+@dataclass(init=False, repr=False, eq=False)
+class EstimatorConfig(ValueRecord):
     """Bundle of estimator settings shared by path estimation and forecasting.
 
     t0 defaults to 2*m0, the first time at which the scan has two candidate
@@ -187,8 +190,8 @@ class EstimatorConfig:
         return self.t0 if self.t0 is not None else 2 * self.m0
 
 
-@dataclass(frozen=True, eq=False)
-class EstimatePath:
+@dataclass(init=False, repr=False, eq=False)
+class EstimatePath(Record):
     """Per-time volatility estimates over taus = t0, t0+1, ..., n.
 
     rejected_at holds the length of the first rejected candidate window, 0

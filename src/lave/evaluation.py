@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import ValueRecord
 from .errors import DegenerateWindowError
 from .estimator import EstimatorConfig, estimate_path
 from .garch import rolling_forecast
@@ -33,8 +34,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SummaryStats:
+@dataclass(init=False, repr=False, eq=False)
+class SummaryStats(ValueRecord):
     """Population-moment summary of a series."""
 
     n: int
@@ -44,8 +45,8 @@ class SummaryStats:
     kurtosis: float
 
 
-@dataclass(frozen=True)
-class ForecastComparison:
+@dataclass(init=False, repr=False, eq=False)
+class ForecastComparison(ValueRecord):
     """Scores of the adaptive and GARCH forecasters over a common range.
 
     forecasts holds the scored rows (t, lave_sigma_sq, garch_sigma_sq), one

@@ -40,6 +40,7 @@ import numpy as np
 # has no public way round them. A solve that does not converge gives nan
 from numpy.linalg._umath_linalg import eigh_lo as _eigh
 
+from ._record import Record, ValueRecord
 from .errors import GarchConvergenceError
 from .series import ReturnSeries
 
@@ -57,8 +58,8 @@ __all__ = [
 _MARGIN = 1e-6
 
 
-@dataclass(frozen=True)
-class GarchParams:
+@dataclass(init=False, repr=False, eq=False)
+class GarchParams(ValueRecord):
     """Parameters of the variance recursion omega + alpha R^2 + beta sigma2."""
 
     omega: float
@@ -85,8 +86,8 @@ class GarchParams:
         return self.omega / (1.0 - self.persistence)
 
 
-@dataclass(frozen=True, eq=False)
-class RollingForecast:
+@dataclass(init=False, repr=False, eq=False)
+class RollingForecast(Record):
     """One-step-ahead variance forecasts (t, sigma2 for t+1) from rolling
     refits, plus the times whose fit failed and fell back to the previous
     parameter values."""

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._record import Record, ValueRecord
+
 __all__ = [
     "ReturnSeries",
     "TransformedSeries",
@@ -35,8 +37,8 @@ def _readonly_array(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class ReturnSeries:
+@dataclass(init=False, repr=False, eq=False)
+class ReturnSeries(Record):
     """A one-dimensional series of log-returns.
 
     values : array of finite reals, one per observation time.
@@ -55,8 +57,8 @@ class ReturnSeries:
         return int(self.values.size)
 
 
-@dataclass(frozen=True, eq=False)
-class TransformedSeries:
+@dataclass(init=False, repr=False, eq=False)
+class TransformedSeries(Record):
     """The series Y_t = |R_t|^gamma, all entries nonnegative."""
 
     values: np.ndarray
@@ -75,8 +77,8 @@ class TransformedSeries:
         return int(self.values.size)
 
 
-@dataclass(frozen=True)
-class PowerParams:
+@dataclass(init=False, repr=False, eq=False)
+class PowerParams(ValueRecord):
     """Moment constants of |xi|^gamma for standard Gaussian xi.
 
     c_gamma : mean E|xi|^gamma.
@@ -104,8 +106,8 @@ class PowerParams:
             raise ValueError("a_gamma must be positive when present")
 
 
-@dataclass(frozen=True)
-class VolEstimate:
+@dataclass(init=False, repr=False, eq=False)
+class VolEstimate(ValueRecord):
     """A single volatility estimate with its supporting interval.
 
     theta_hat : estimated local level of the transformed series.

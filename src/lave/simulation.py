@@ -19,6 +19,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from ._record import Record, ValueRecord
 from .errors import DegenerateWindowError
 from .estimator import EstimatorConfig, batch_estimate
 from .series import PowerParams, ReturnSeries, sigma_to_theta
@@ -38,8 +39,8 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChangePointSpec:
+@dataclass(init=False, repr=False, eq=False)
+class ChangePointSpec(ValueRecord):
     """A piecewise-constant volatility path: segments of (length, sigma)."""
 
     segments: tuple
@@ -72,8 +73,8 @@ class ChangePointSpec:
         return [int(b) for b in bounds[:-1]]
 
 
-@dataclass(frozen=True)
-class TruthDiagnostics:
+@dataclass(init=False, repr=False, eq=False)
+class TruthDiagnostics(ValueRecord):
     """Oracle quantities for one window: departure from homogeneity
     delta = sup over the window of |theta_t - theta_tau|, the oracle
     standard deviation v of the window mean, and their ratio."""
@@ -83,8 +84,8 @@ class TruthDiagnostics:
     ratio: float
 
 
-@dataclass(frozen=True)
-class ExperimentCell:
+@dataclass(init=False, repr=False, eq=False)
+class ExperimentCell(ValueRecord):
     """One (gamma, lambda) configuration's accumulated relative error."""
 
     gamma: float
@@ -93,8 +94,8 @@ class ExperimentCell:
     error: float
 
 
-@dataclass(frozen=True, eq=False)
-class CurveTable:
+@dataclass(init=False, repr=False, eq=False)
+class CurveTable(Record):
     """Per-time cross-replication summaries for one configuration.
 
     All arrays are aligned with taus; quartiles are pointwise in t.
@@ -110,8 +111,8 @@ class CurveTable:
     len_q75: np.ndarray
 
 
-@dataclass(frozen=True, eq=False)
-class ExperimentResult:
+@dataclass(init=False, repr=False, eq=False)
+class ExperimentResult(Record):
     """Error cells plus estimate/length curves for every configuration."""
 
     design: ChangePointSpec

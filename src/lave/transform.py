@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from ._record import Record
 from .series import PowerParams, ReturnSeries, TransformedSeries
 
 __all__ = [
@@ -89,8 +90,8 @@ _U_CAP = 12800.0
 _GOLDEN = 0.61803399
 
 
-@dataclass(frozen=True, eq=False)
-class LaplaceCurve:
+@dataclass(init=False, repr=False, eq=False)
+class LaplaceCurve(Record):
     """The function u -> 2 log E exp(u zeta) / u^2 sampled on a grid."""
 
     u_grid: np.ndarray

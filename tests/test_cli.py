@@ -144,6 +144,13 @@ class TestIngest:
         err = capsys.readouterr().err
         assert "kind=input" in err and "latin1.csv" in err and "UTF-8" in err
 
+    def test_non_utf8_offset_counts_the_byte_order_mark(self, tmp_path):
+        # 3 bytes of mark, then 11 of text: the bad byte is at offset 14
+        f = tmp_path / "bom_latin1.csv"
+        f.write_bytes(b"\xef\xbb\xbfreturn\n0.1\n\xe9\n")
+        with pytest.raises(InputDataError, match=r"byte 0xe9 at offset 14\)"):
+            ingest_csv(f)
+
     def test_oversized_cell_is_an_input_error(self, tmp_path, capsys):
         # over the csv module's default field size limit of 131072 characters,
         # as a binary or single-line file passed by mistake can be
@@ -666,6 +673,46 @@ from lave.transform import power_constants
 print(repr(power_constants(0.5).a_gamma))
 """
         assert self._run(code)[-1] == "1.0045849424076858"
+
+    @pytest.mark.skipif(
+        sys.version_info >= (3, 13),
+        reason="from 3.13 dataclasses execs one builder per class, even one that makes no method",
+    )
+    def test_import_compiles_no_generated_source(self):
+        # dataclasses writes and execs the source of each method it makes,
+        # so lave's 23 records take their methods from lave._record instead.
+        # Each compiled source that is not a file is charged to the module
+        # whose body was running: the stdlib and numpy build namedtuples (an
+        # eval each) when imported.
+        code = """
+import os, sys, numpy
+generated = set()
+def hook(event, args):
+    if event == "compile" and not os.path.isfile(args[1]):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name != "<module>":
+            frame = frame.f_back
+        generated.add(frame.f_globals["__name__"])
+sys.addaudithook(hook)
+import lave.cli
+print(sorted(m for m in generated if m.split(".")[0] == "lave"))
+"""
+        assert self._run(code)[-1] == "[]"
+
+    def test_input_runs_load_no_module_after_import(self, tmp_path):
+        # a command pays no import of its own; reading an input file with
+        # the utf-8-sig codec was one
+        f = tmp_path / "returns.csv"
+        write_returns(f, np.random.default_rng(3).standard_normal(160))
+        code = f"""
+import sys, lave.cli
+for argv in (["estimate", "--lam", "table:80"], ["backtest", "--lam", "table:80", "--garch-window", "100"]):
+    loaded = set(sys.modules)
+    assert lave.cli.main([*argv, "--input", {str(f)!r}, "--out-dir", {str(tmp_path)!r}]) == 0
+    print("loaded by", argv[0], sorted(set(sys.modules) - loaded))
+"""
+        lines = [line for line in self._run(code) if line.startswith("loaded by")]
+        assert lines == ["loaded by estimate []", "loaded by backtest []"]
 
 
 class TestLogging:
