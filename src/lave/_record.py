@@ -1,13 +1,16 @@
 """The methods that lave's records share.
 
-Every record (ReturnSeries, EstimatorConfig, GarchParams, RunConfig, ...) is
-a dataclass declared with ``@dataclass(init=False, repr=False, eq=False)`` on
-one of the two bases below. ``dataclasses`` still builds its fields, so
+A record (ReturnSeries, EstimatorConfig, GarchParams, RunConfig, ...) is
+declared by subclassing one of the two bases below and nothing else: a
+``ValueRecord`` compares and hashes by the tuple of its fields, as
+``@dataclass(frozen=True)`` does, and a ``Record`` by identity, as
+``@dataclass(frozen=True, eq=False)`` does. ``Record.__init_subclass__``
+makes each subclass a dataclass that generates no method, so
 ``dataclasses.fields``, ``replace``, ``asdict`` and ``is_dataclass`` work on
-it, but generates no method. Generated methods are new source that
-``dataclasses`` writes and ``exec``s at every ``import lave``: on Python 3.10
-and 3.11 one per method, about 120 for the 23 records. The two bases are
-written once instead:
+it, and ``inspect.signature`` reads its fields. Generated methods are
+new source that ``dataclasses`` writes and ``exec``s at every ``import
+lave``: on Python 3.10 and 3.11 one per method, about 120 for the 23
+records. The two bases are written once instead:
 
 - ``__init__`` binds arguments by position or keyword, fills field defaults
   and calls ``default_factory`` for fields left out, then calls the record's
@@ -18,16 +21,44 @@ written once instead:
   ``dataclasses.FrozenInstanceError``. ``__post_init__`` sets a converted
   field through ``object.__setattr__``, as on any frozen dataclass.
 
-A ``Record`` compares and hashes by identity, as ``@dataclass(frozen=True,
-eq=False)`` does. A ``ValueRecord`` compares and hashes by the tuple of its
-fields, as ``@dataclass(frozen=True)`` does. Of a field's options only
-``default`` and ``default_factory`` are read.
+Of a field's options only ``default`` and ``default_factory`` are read.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import MISSING, FrozenInstanceError, fields
+import inspect
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, is_dataclass
+
+
+class _Factory:
+    """The default a signature shows for a field with a default_factory."""
+
+    def __repr__(self) -> str:
+        return "<factory>"
+
+
+def _parameter(f) -> inspect.Parameter:
+    if f.default is not MISSING:
+        default = f.default
+    elif f.default_factory is not MISSING:
+        default = _Factory()
+    else:
+        default = inspect.Parameter.empty
+    return inspect.Parameter(
+        f.name, inspect.Parameter.POSITIONAL_OR_KEYWORD, default=default, annotation=f.type
+    )
+
+
+class _Signature:
+    """A record's inspect.signature, built when asked for: its fields in
+    order, with their defaults and annotations, in place of Record.__init__'s
+    (*args, **kwargs)."""
+
+    def __get__(self, record, cls):
+        if not is_dataclass(cls):  # Record or ValueRecord
+            return None
+        return inspect.Signature([_parameter(f) for f in fields(cls)])
 
 
 @functools.cache
@@ -37,6 +68,13 @@ def _fields(cls: type) -> tuple:
 
 class Record:
     """Base of the records that compare by identity."""
+
+    __signature__ = _Signature()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__module__ != __name__:  # a record, not ValueRecord
+            dataclass(init=False, repr=False, eq=False)(cls)
 
     def __init__(self, *args, **kwargs):
         cls = type(self)

@@ -24,8 +24,6 @@ from the seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 # default_rng's numpy.random, with the secrets and hashlib it imports, loads
 # with this module, so that cost falls at start-up rather than in the first
@@ -34,7 +32,7 @@ import numpy.random  # noqa: F401
 
 from ._record import Record, ValueRecord
 from .errors import CalibrationBracketError
-from .estimator import _split_terms, _test_terms
+from .estimator import _integer, _split_terms, _test_terms
 from .series import PowerParams, TransformedSeries
 from .transform import moment_constants
 
@@ -53,7 +51,6 @@ _RATE_TOL = 0.005
 _LAMBDA_TOL = 1e-3
 
 
-@dataclass(init=False, repr=False, eq=False)
 class CalibrationSpec(ValueRecord):
     """Settings for one calibration run.
 
@@ -75,12 +72,8 @@ class CalibrationSpec(ValueRecord):
     def __post_init__(self):
         if not (self.gamma > 0.0):
             raise ValueError("gamma must be positive")
-        # counts: an integral float such as 80.0 is stored as its int
         for name in ("M", "m0", "replications"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and int(value) == value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.m0 < 1:
             raise ValueError("m0 must be a positive integer")
         if self.M < 2 * self.m0:
@@ -91,7 +84,6 @@ class CalibrationSpec(ValueRecord):
             raise ValueError("replications must be positive")
 
 
-@dataclass(init=False, repr=False, eq=False)
 class CalibrationResult(Record):
     """Calibrated threshold with the rate it achieves on the calibration draws.
 

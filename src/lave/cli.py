@@ -28,7 +28,7 @@ import os
 import shlex
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import field, fields
 from itertools import repeat
 from pathlib import Path
 
@@ -81,7 +81,6 @@ _VALUE_HEADERS = {
 _DATE_HEADERS = {"date", "time", "timestamp", "day"}
 
 
-@dataclass(init=False, repr=False, eq=False)
 class RunConfig(ValueRecord):
     """Parsed flags for one CLI invocation; echoed into output headers."""
 

@@ -48,7 +48,6 @@ longer windows the means, and with them a tie, can differ in the last bit.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,7 +73,18 @@ __all__ = [
 ]
 
 
-@dataclass(init=False, repr=False, eq=False)
+def _integer(name: str, value) -> int:
+    """value as an int: an integral float such as 20.0, or a numpy integer,
+    is stored as its int, and anything else raises ValueError."""
+    try:
+        integral = bool(np.isfinite(value)) and int(value) == value
+    except (TypeError, ValueError):
+        integral = False
+    if not integral:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 class IntervalGrid(ValueRecord):
     """Candidate window lengths available at time tau: m0, 2*m0, ... <= tau."""
 
@@ -108,7 +118,6 @@ class IntervalGrid(ValueRecord):
         return cls(m0=int(m0), tau=int(tau), interval_lengths=tuple(k * m0 for k in ks))
 
 
-@dataclass(init=False, repr=False, eq=False)
 class HomogeneityTest(ValueRecord):
     """One split test's verdict: reject iff statistic > threshold."""
 
@@ -117,7 +126,6 @@ class HomogeneityTest(ValueRecord):
     reject: bool
 
 
-@dataclass(init=False, repr=False, eq=False)
 class TestRecord(ValueRecord):
     """One comparison from the selection scan (reject iff statistic > threshold)."""
 
@@ -131,7 +139,6 @@ class TestRecord(ValueRecord):
         return self.statistic > self.threshold
 
 
-@dataclass(init=False, repr=False, eq=False)
 class SelectionResult(Record):
     """Outcome of the interval scan at one time point.
 
@@ -158,7 +165,6 @@ class SelectionResult(Record):
         )
 
 
-@dataclass(init=False, repr=False, eq=False)
 class EstimatorConfig(ValueRecord):
     """Bundle of estimator settings shared by path estimation and forecasting.
 
@@ -175,22 +181,23 @@ class EstimatorConfig(ValueRecord):
     def __post_init__(self):
         if not (self.gamma > 0.0):
             raise ValueError("gamma must be positive")
-        if not (self.m0 >= 1 and int(self.m0) == self.m0):
+        object.__setattr__(self, "m0", _integer("m0", self.m0))
+        if self.m0 < 1:
             raise ValueError("m0 must be a positive integer")
-        object.__setattr__(self, "m0", int(self.m0))
         if not (self.lam > 0.0):
             raise ValueError("lam must be positive")
-        if self.t0 is not None and self.t0 < self.m0:
-            raise ValueError("t0 must be at least m0")
-        if self.max_len is not None and self.max_len < self.m0:
-            raise ValueError("max_len must be at least m0")
+        for name in ("t0", "max_len"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, _integer(name, value))
+                if value < self.m0:
+                    raise ValueError(f"{name} must be at least m0")
 
     @property
     def start_time(self) -> int:
         return self.t0 if self.t0 is not None else 2 * self.m0
 
 
-@dataclass(init=False, repr=False, eq=False)
 class EstimatePath(Record):
     """Per-time volatility estimates over taus = t0, t0+1, ..., n.
 
@@ -742,6 +749,7 @@ def forecast_next(r: ReturnSeries, t: int, config: EstimatorConfig) -> float:
     sigma_hat at t bit for bit. Raises DegenerateWindowError where
     estimate_path leaves a gap.
     """
+    t = _integer("t", t)
     if t < config.start_time:
         raise ValueError(f"t={t} is before the first estimation time {config.start_time}")
     if t > len(r):

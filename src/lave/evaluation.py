@@ -13,8 +13,6 @@ is 3, not 0); the autocorrelation is normalized by the lag-0 autocovariance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._record import ValueRecord
@@ -34,7 +32,6 @@ __all__ = [
 ]
 
 
-@dataclass(init=False, repr=False, eq=False)
 class SummaryStats(ValueRecord):
     """Population-moment summary of a series."""
 
@@ -45,7 +42,6 @@ class SummaryStats(ValueRecord):
     kurtosis: float
 
 
-@dataclass(init=False, repr=False, eq=False)
 class ForecastComparison(ValueRecord):
     """Scores of the adaptive and GARCH forecasters over a common range.
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 # np.linalg.eigh's gufunc (dsyevd, lower triangle): its eigenpairs to the bit,
@@ -58,7 +57,6 @@ __all__ = [
 _MARGIN = 1e-6
 
 
-@dataclass(init=False, repr=False, eq=False)
 class GarchParams(ValueRecord):
     """Parameters of the variance recursion omega + alpha R^2 + beta sigma2."""
 
@@ -86,7 +84,6 @@ class GarchParams(ValueRecord):
         return self.omega / (1.0 - self.persistence)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class RollingForecast(Record):
     """One-step-ahead variance forecasts (t, sigma2 for t+1) from rolling
     refits, plus the times whose fit failed and fell back to the previous

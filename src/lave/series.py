@@ -8,8 +8,6 @@ of that transformed series. The conversions between sigma and theta live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._record import Record, ValueRecord
@@ -37,7 +35,6 @@ def _readonly_array(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(init=False, repr=False, eq=False)
 class ReturnSeries(Record):
     """A one-dimensional series of log-returns.
 
@@ -57,7 +54,6 @@ class ReturnSeries(Record):
         return int(self.values.size)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class TransformedSeries(Record):
     """The series Y_t = |R_t|^gamma, all entries nonnegative."""
 
@@ -77,7 +73,6 @@ class TransformedSeries(Record):
         return int(self.values.size)
 
 
-@dataclass(init=False, repr=False, eq=False)
 class PowerParams(ValueRecord):
     """Moment constants of |xi|^gamma for standard Gaussian xi.
 
@@ -106,7 +101,6 @@ class PowerParams(ValueRecord):
             raise ValueError("a_gamma must be positive when present")
 
 
-@dataclass(init=False, repr=False, eq=False)
 class VolEstimate(ValueRecord):
     """A single volatility estimate with its supporting interval.
 

@@ -14,7 +14,6 @@ size needed for reliable detection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -39,7 +38,6 @@ __all__ = [
 ]
 
 
-@dataclass(init=False, repr=False, eq=False)
 class ChangePointSpec(ValueRecord):
     """A piecewise-constant volatility path: segments of (length, sigma)."""
 
@@ -73,7 +71,6 @@ class ChangePointSpec(ValueRecord):
         return [int(b) for b in bounds[:-1]]
 
 
-@dataclass(init=False, repr=False, eq=False)
 class TruthDiagnostics(ValueRecord):
     """Oracle quantities for one window: departure from homogeneity
     delta = sup over the window of |theta_t - theta_tau|, the oracle
@@ -84,7 +81,6 @@ class TruthDiagnostics(ValueRecord):
     ratio: float
 
 
-@dataclass(init=False, repr=False, eq=False)
 class ExperimentCell(ValueRecord):
     """One (gamma, lambda) configuration's accumulated relative error."""
 
@@ -94,7 +90,6 @@ class ExperimentCell(ValueRecord):
     error: float
 
 
-@dataclass(init=False, repr=False, eq=False)
 class CurveTable(Record):
     """Per-time cross-replication summaries for one configuration.
 
@@ -111,7 +106,6 @@ class CurveTable(Record):
     len_q75: np.ndarray
 
 
-@dataclass(init=False, repr=False, eq=False)
 class ExperimentResult(Record):
     """Error cells plus estimate/length curves for every configuration."""
 

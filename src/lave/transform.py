@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -90,7 +90,6 @@ _U_CAP = 12800.0
 _GOLDEN = 0.61803399
 
 
-@dataclass(init=False, repr=False, eq=False)
 class LaplaceCurve(Record):
     """The function u -> 2 log E exp(u zeta) / u^2 sampled on a grid."""
 

@@ -347,8 +347,41 @@ class TestEstimatePath:
         np.testing.assert_allclose(sigma[0], same.sigma_hat, rtol=1e-12)
         assert forecast_next(r, 120, config) == forecast_next(r, 120, same.config)
 
+    @pytest.mark.parametrize(
+        "integral", [20.0, np.int64(20), np.float64(20.0)], ids=["float", "int64", "float64"]
+    )
+    def test_integral_t0_and_max_len_run_as_their_integers(self, integral):
+        r = ReturnSeries(np.random.default_rng(23).standard_normal(150))
+        config = EstimatorConfig(0.5, 10, 2.4, t0=integral, max_len=3 * integral)
+        assert type(config.t0) is int and type(config.max_len) is int
+        assert config == EstimatorConfig(0.5, 10, 2.4, t0=20, max_len=60)
+        path = estimate_path(r, config)
+        assert path.taus[0] == 20
+        same = estimate_path(r, EstimatorConfig(0.5, 10, 2.4, t0=20, max_len=60))
+        np.testing.assert_array_equal(path.sigma_hat, same.sigma_hat)
+        np.testing.assert_array_equal(path.interval_len, same.interval_len)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"t0": 20.5}, {"max_len": 100.5}, {"t0": float("inf")}, {"max_len": float("nan")},
+         {"t0": "20"}, {"m0": float("inf")}],
+    )
+    def test_non_integral_counts_are_rejected(self, fields):
+        # t0=20.5 once started the scan at tau = 20 without a word
+        with pytest.raises(ValueError, match="must be an integer"):
+            EstimatorConfig(**{"gamma": 0.5, "m0": 10, "lam": 2.74, **fields})
+
 
 class TestForecastNext:
+    def test_time_must_be_an_integer(self):
+        r = ReturnSeries(np.random.default_rng(24).standard_normal(150))
+        config = EstimatorConfig(0.5, 10, 2.74)
+        assert forecast_next(r, 100.0, config) == forecast_next(r, np.int64(100), config)
+        assert forecast_next(r, 100.0, config) == estimate_path(r, config).sigma_hat[100 - 20]
+        # 100.5 once raised a TypeError from slicing the series
+        with pytest.raises(ValueError, match="t must be an integer"):
+            forecast_next(r, 100.5, config)
+
     def test_constant_series_forecast(self, p05):
         # constant |R| = 2: the scan keeps everything, theta_hat = sqrt(2),
         # and the Gaussian plug-in inversion gives sigma_hat = 2 / c^2

@@ -1,18 +1,22 @@
-"""The record contract: every lave record behaves as the frozen dataclass it
-was declared as, though its methods come from lave._record and not from
-code that dataclasses generates."""
+"""The record contract: every lave record behaves as the frozen dataclass its
+base says, though its methods come from lave._record and not from code that
+dataclasses generates. A record is declared by its base alone, so records
+declared in this module keep the contract too."""
 
 import dataclasses
-from dataclasses import FrozenInstanceError, asdict, fields, is_dataclass, replace
+import inspect
+from dataclasses import FrozenInstanceError, asdict, field, fields, is_dataclass, replace
 
 import numpy as np
 import pytest
 
 import lave
 import lave.cli
+from lave._record import Record, ValueRecord
 from lave.calibration import CalibrationSpec
 from lave.cli import RunConfig
 from lave.estimator import EstimatorConfig
+from lave.garch import GarchParams
 from lave.simulation import ChangePointSpec, ExperimentCell
 
 MODULES = (
@@ -104,7 +108,7 @@ EXAMPLES = {
     "RollingForecast": ({"forecasts": ((350, 1.2),), "fallback_times": (), "window": 350}, None),
     "RunConfig": ({"command": "estimate", "lam": "table:80", "seed": 3}, None),
 }
-# declared eq=False: these compare and hash by identity
+# subclasses of Record, not of ValueRecord: these compare and hash by identity
 BY_IDENTITY = {
     "ReturnSeries", "TransformedSeries", "LaplaceCurve", "SelectionResult", "EstimatePath",
     "CalibrationResult", "CurveTable", "ExperimentResult", "RollingForecast",
@@ -122,8 +126,31 @@ def test_every_record_has_an_example():
     assert len(RECORDS) == 23 and len(BY_IDENTITY) == 9
 
 
-@pytest.fixture(params=sorted(EXAMPLES))
+class Point(ValueRecord):
+    """A record declared by subclassing alone, as every lave record is."""
+
+    x: float
+    y: float = 0.0
+    tags: tuple = field(default_factory=tuple)
+
+    def __post_init__(self):
+        if not np.isfinite(self.x):
+            raise ValueError("x must be finite")
+
+
+class Trail(Record):
+    steps: tuple
+    origin: str = ""
+
+
+# records declared in this module: each with valid and rejected arguments
+DECLARED_HERE = {"Point": (Point, {"x": 1.0, "tags": ("a",)}, {"x": float("inf")})}
+
+
+@pytest.fixture(params=[*sorted(EXAMPLES), *DECLARED_HERE])
 def record(request):
+    if request.param in DECLARED_HERE:
+        return DECLARED_HERE[request.param]
     cls = RECORDS[request.param]
     kwargs, invalid = EXAMPLES[request.param]
     return cls, kwargs, invalid
@@ -210,3 +237,37 @@ def test_run_config_reads_the_seed_when_built(monkeypatch):
     monkeypatch.setenv("LAVE_SEED", "6")
     assert RunConfig("estimate").seed == 6
     assert RunConfig("estimate", seed=2).seed == 2
+
+
+def test_signature_matches_a_stdlib_dataclass(record):
+    cls, _, _ = record
+    twin = dataclasses.make_dataclass(
+        cls.__name__,
+        [
+            (f.name, f.type, field(default=f.default, default_factory=f.default_factory))
+            for f in fields(cls)
+        ],
+        frozen=True,
+    )
+    # what help() shows; a generated __init__ adds "-> None"
+    assert str(inspect.signature(cls)) == str(inspect.signature(twin)).replace(" -> None", "")
+
+
+def test_garch_params_signature_names_its_fields():
+    assert str(inspect.signature(GarchParams)) == "(omega: 'float', alpha: 'float', beta: 'float')"
+
+
+def test_a_record_declared_here_compares_by_identity():
+    rec, same = Trail((1, 2)), Trail((1, 2))
+    assert is_dataclass(Trail) and [f.name for f in fields(Trail)] == ["steps", "origin"]
+    assert not {"__init__", "__repr__", "__eq__", "__hash__"} & set(vars(Trail))
+    assert rec == rec and rec != same and hash(rec) == object.__hash__(rec)
+    assert repr(rec) == "Trail(steps=(1, 2), origin='')"
+    with pytest.raises(FrozenInstanceError):
+        rec.steps = ()
+    # a record without a docstring is documented by its signature, as by dataclasses
+    assert Trail.__doc__ == "Trail(steps: tuple, origin: str = '')"
+
+
+def test_the_bases_are_not_dataclasses():
+    assert not is_dataclass(Record) and not is_dataclass(ValueRecord)
