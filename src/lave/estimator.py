@@ -14,18 +14,19 @@ keeps a full trace of every comparison. One module-private kernel,
 once. It sums each window from m0-block sums taken on their own, which never
 cancel, since the transformed values are nonnegative, and decides every
 split as `homogeneity_test` does. Each candidate step spends little beyond
-that arithmetic: a row's kept candidates are counted, its theta_hat is read
-once from the test-side terms already stored when it leaves the working
-set, and gaps are decided from each row's first all-zero block, tracked
-only once one is gathered and looked for only in a scan whose block sums
-hold a zero. The test-side terms and each threshold's comparison are
+that arithmetic: a row's kept candidates are counted, and its theta_hat is
+read once from the test-side terms already stored when it leaves the
+working set. The test-side terms and each threshold's comparison are
 written into the working set and buffers allocated with it, not into new
 arrays each step. `_scan_taus` walks the taus in blocks of bounded size, so
 memory does not grow with n, writes each row's results once into its
 output, stored tau-major so that the rows of one tau land side by side,
 and runs the few rows that blocks leave scanning long in pooled passes of
 the same kernel, each once the pool fills the block budget or the last
-block is done. `_scan_path` applies the gaps and serves
+block is done. Gaps, where select_interval raises on a window of zeros,
+are decided once after the scan, by `_gaps`, from each row's chosen length
+and its first all-zero block counted back from tau; a scan whose block
+sums hold no zero has none. `_scan_path` applies the gaps and serves
 `estimate_path` (one row) and `batch_estimate` (one row per Monte Carlo
 replication); `_scan_at_tau` is the scan at one tau, which `forecast_next`
 runs, and calibration shares its split arithmetic.
@@ -93,10 +94,12 @@ class IntervalGrid(ValueRecord):
     interval_lengths: tuple[int, ...]
 
     def __post_init__(self):
-        if not (self.m0 >= 1 and int(self.m0) == self.m0):
+        for name in ("m0", "tau"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
+        if self.m0 < 1:
             raise ValueError("m0 must be a positive integer")
-        if not (self.tau >= self.m0):
-            raise ValueError("tau must be at least m0")
+        if self.tau < self.m0:
+            raise ValueError(f"tau={self.tau} is below the smallest window length m0={self.m0}")
         lens = tuple(int(v) for v in self.interval_lengths)
         if not lens:
             raise ValueError("interval_lengths must be nonempty")
@@ -109,13 +112,14 @@ class IntervalGrid(ValueRecord):
 
     @classmethod
     def for_time(cls, tau: int, m0: int, max_len: int | None = None) -> "IntervalGrid":
-        if not (m0 >= 1):
+        """Every multiple of m0 up to min(tau, max_len). An integral float
+        runs as its int, and any other value that is not an integer raises
+        ValueError."""
+        m0, tau = _integer("m0", m0), _integer("tau", tau)
+        if m0 < 1:
             raise ValueError("m0 must be a positive integer")
-        if tau < m0:
-            raise ValueError(f"tau={tau} is below the smallest window length m0={m0}")
-        top = tau if max_len is None else min(tau, int(max_len))
-        ks = range(1, top // m0 + 1)
-        return cls(m0=int(m0), tau=int(tau), interval_lengths=tuple(k * m0 for k in ks))
+        top = tau if max_len is None else min(tau, _integer("max_len", max_len))
+        return cls(m0=m0, tau=tau, interval_lengths=tuple(range(m0, top + 1, m0)))
 
 
 class HomogeneityTest(ValueRecord):
@@ -302,9 +306,10 @@ def select_interval(
     previous candidate is selected. All comparisons are recorded in
     test_trace (test_len ascending within each candidate).
     """
+    grid = IntervalGrid.for_time(tau, m0, max_len)
+    tau, m0 = grid.tau, grid.m0
     if tau > len(y):
         raise ValueError(f"tau={tau} exceeds series length {len(y)}")
-    grid = IntervalGrid.for_time(tau, m0, max_len)
     trace: list[TestRecord] = []
     chosen = grid.interval_lengths[0]
     rejected_at = None
@@ -424,24 +429,18 @@ def _tau_blocks(counts: np.ndarray, n_series: int) -> list[int]:
     return bounds
 
 
-def _write_rows(out, m0: int, rows, chosen, state, first_zero, cols):
+def _write_rows(out, m0: int, rows, chosen, state, cols):
     """Write the results of the working-set columns cols of _scan_rows into
-    out = (lens, theta, gap), each (thresholds, N) and gap None where no
-    block sum is zero, at the rows' destinations (flat positions in the
-    tau-major results of _scan_taus): the chosen length, theta_test of the
-    last kept candidate, and the gap flag, set where a zero block lies
-    within the row's stop."""
+    out = (lens, theta), each (thresholds, N), at the rows' destinations
+    (flat positions in the tau-major results of _scan_taus): the chosen
+    length and theta_test of the last kept candidate. Nothing here decides
+    a gap; _scan_taus does, once the scan is done (_gaps)."""
     counts = chosen.take(cols, axis=1)
     dest = rows[0].take(cols)
     theta = state[1].take((counts - 1) * state.shape[2] + cols)
-    gap = None
-    if first_zero is not None:
-        gap = first_zero.take(cols) <= np.minimum(counts + 1, rows[2].take(cols))
     for i in range(counts.shape[0]):
         out[0][i][dest] = counts[i] * m0
         out[1][i][dest] = theta[i]
-        if gap is not None:
-            out[2][i][dest] = gap[i]
 
 
 def _working_set(count: int, n_rows: int):
@@ -477,14 +476,8 @@ def _scan_rows(flat_blocks, rows, m0: int, lams, s_gamma: float, out, pool=None)
     Each step spends little beyond that arithmetic. A row's kept candidates
     are counted (chosen += live), and its theta_hat, the theta_test column
     of its last kept candidate, is read once, when the row leaves the
-    working set. Gaps are decided from each row's first zero block, which is
-    looked for only when out holds a gap array, and tracked only from the
-    first step whose gathered blocks hold a zero: a
-    row is degenerate exactly when one of the blocks 1..stop is zero, stop
-    being the rejected candidate or else the last, min(chosen + 1, count).
-    Every examined window holds block 1 or the oldest block of its
-    candidate, and each such block is itself examined (the test window at
-    j = m0, the rest window at j = (k-1)*m0).
+    working set. The kernel leaves gaps alone: _scan_taus decides them from
+    the chosen lengths once the scan is done (_gaps).
 
     For roots >= 0, lam_lo <= lam_hi gives fl(lam_lo * root) <= fl(lam_hi
     * root), so a split that rejects under the larger threshold rejects
@@ -506,7 +499,7 @@ def _scan_rows(flat_blocks, rows, m0: int, lams, s_gamma: float, out, pool=None)
     Memory: the working set's three (count, rows) float arrays and its
     (count - 1, rows) buffers for lam * root (float) and the comparison
     (bool), the rows and per row a test sum, a count and a flag per
-    threshold, and the first zero block once one is seen; a compaction
+    threshold, and no first-zero index; a compaction
     holds the old and the new working set for a moment, and drops the old
     one once its columns are copied.
     """
@@ -515,9 +508,6 @@ def _scan_rows(flat_blocks, rows, m0: int, lams, s_gamma: float, out, pool=None)
     test_sum = np.zeros(n_rows)
     chosen = np.zeros((lams.size, n_rows), dtype=np.int64)
     live = np.ones((lams.size, n_rows), dtype=bool)
-    first_zero = None
-    # without a gap array to write, no block sum of the scan is zero
-    zeros = out[2] is not None
     _, at, n_cand = rows
     fewest = int(n_cand.min())
     lam_list, top = lams.tolist(), int(lams.argmax())
@@ -534,16 +524,14 @@ def _scan_rows(flat_blocks, rows, m0: int, lams, s_gamma: float, out, pool=None)
             and n_live * k_last * k_last <= _BLOCK_ELEMENTS
             and n_live * k * (k - 1) < 2 * _STEP_ENTRIES
         ):
-            _write_rows(out, m0, rows, chosen, state, first_zero, np.flatnonzero(~live[top]))
+            _write_rows(out, m0, rows, chosen, state, np.flatnonzero(~live[top]))
             pool.append(rows.compress(live[top], axis=1))
             return
         if 4 * n_live < 3 * n_held and (n_held - n_live) * k > _STEP_ENTRIES:
-            _write_rows(out, m0, rows, chosen, state, first_zero, np.flatnonzero(~live[top]))
+            _write_rows(out, m0, rows, chosen, state, np.flatnonzero(~live[top]))
             keep = np.flatnonzero(live[top])
             rows, chosen, live = (a.take(keep, axis=1) for a in (rows, chosen, live))
             test_sum = test_sum.take(keep)
-            if first_zero is not None:
-                first_zero = first_zero.take(keep)
             _, at, n_cand = rows
             held = state
             state, scaled, rejects = _working_set(int(n_cand.max()), keep.size)
@@ -555,11 +543,6 @@ def _scan_rows(flat_blocks, rows, m0: int, lams, s_gamma: float, out, pool=None)
         # masked rows gather too; past its last candidate a row reads a
         # clipped block whose value is never used
         block = flat_blocks.take(at - k * m0, mode="clip")
-        if zeros and not block.all():
-            if first_zero is None:
-                first_zero = np.full(block.size, k_last + 1)
-            zero = block == 0.0
-            first_zero[zero] = np.minimum(first_zero[zero], k)
         test_sum += block
         rest, theta_test, v_test_sq = state[:, :k]
         _test_terms(test_sum, k * m0, s_gamma, out=(theta_test[k - 1], v_test_sq[k - 1]))
@@ -573,7 +556,7 @@ def _scan_rows(flat_blocks, rows, m0: int, lams, s_gamma: float, out, pool=None)
                 live_under ^= rejects_k.any(axis=0) & live_under
         chosen += live
 
-    _write_rows(out, m0, rows, chosen, state, first_zero, np.arange(rows.shape[1]))
+    _write_rows(out, m0, rows, chosen, state, np.arange(rows.shape[1]))
 
 
 def _scan_taus(
@@ -595,8 +578,8 @@ def _scan_taus(
     reached. Each is a transposed view of a tau-major (lams.size,
     taus.size, R) array, not a copy: row (series s, tau index i) is written
     at s + R * i, so the rows of one tau, series-major within every block,
-    land side by side. The gap flags are written only where a block sum is
-    zero, which the scan checks once.
+    land side by side. The flags are decided once, after the scan, by
+    _gaps; without a zero block sum they are a read-only all-False view.
 
     The taus are scanned by _scan_rows in the blocks of _tau_blocks, each
     sized by its own largest candidate count to at most _BLOCK_ELEMENTS
@@ -609,18 +592,17 @@ def _scan_taus(
     among its rows, so a block is given the pool only when the scan has
     more than k_last blocks, and the last block only when the pool already
     holds rows. Besides one block's or one pooled pass's working set, the
-    scan holds its results, 17 bytes per entry and threshold (the length,
-    theta_hat and the flag, each stored once in the tau-major arrays), and
-    three ints per pooled row.
+    scan holds its results, 16 bytes per entry and threshold (the length
+    and theta_hat, each stored once in the tau-major arrays), and three
+    ints per pooled row; the gap flags take one byte more, and _gaps a
+    position per block sum, only where a block sum is zero.
     """
     n_series, width = blocks.shape
     flat_blocks = blocks.ravel()
     counts = _candidate_counts(taus, m0, max_len)
     shape = (lams.size, taus.size, n_series)
-    results = (np.empty(shape, dtype=np.int64), np.empty(shape), np.zeros(shape, dtype=bool))
-    lens, theta, gap = (a.reshape(lams.size, -1) for a in results)
-    # a row is degenerate only where one of its blocks sums to zero
-    out = lens, theta, (None if blocks.all() else gap)
+    lens, theta = np.empty(shape, dtype=np.int64), np.empty(shape)
+    out = lens.reshape(lams.size, -1), theta.reshape(lams.size, -1)
     series = np.arange(n_series)[:, None]
     at_series = width * series
     bounds = _tau_blocks(counts, n_series)
@@ -638,7 +620,36 @@ def _scan_taus(
         if pooled and (hi == taus.size or pooled * int(counts[hi - 1]) > _BLOCK_ELEMENTS):
             _scan_rows(flat_blocks, np.concatenate(pool, axis=1), m0, lams, s_gamma, out)
             pool.clear()
-    return tuple(a.transpose(0, 2, 1) for a in results)
+    gap = _gaps(blocks, taus, m0, counts, lens)
+    return tuple(a.transpose(0, 2, 1) for a in (lens, theta, gap))
+
+
+def _gaps(blocks: np.ndarray, taus: np.ndarray, m0: int, counts: np.ndarray, lens: np.ndarray):
+    """Gap flags of the tau-major lens (thresholds, taus, R) of _scan_taus:
+    where select_interval would raise on the row (series, tau).
+
+    Block k of a row is the m0 values ending (k-1)*m0 before tau, and the
+    row is a gap exactly when one of its blocks 1..stop sums to zero, stop
+    being the rejected candidate or else the last, min(lens // m0 + 1,
+    count). Every examined window holds block 1 or the oldest block of its
+    candidate, and each such block is itself examined (the test window at
+    j = m0, the rest window at j = (k-1)*m0). So the first zero block
+    counted back from tau decides the row under every threshold.
+    """
+    if blocks.all():
+        return np.broadcast_to(False, lens.shape)
+    n_series, width = blocks.shape
+    # latest[s, p]: the last zero block position q <= p of series s with
+    # q = p modulo m0, a running maximum per residue; without one, a
+    # position so far back that its block count exceeds every candidate count
+    none = -(width + m0)
+    latest = np.full((n_series, -(-width // m0) * m0), none)
+    latest[:, :width] = np.where(blocks == 0.0, np.arange(width), none)
+    steps = latest.reshape(n_series, -1, m0)
+    np.maximum.accumulate(steps, axis=1, out=steps)
+    # block 1 of the row at tau starts at tau - m0
+    first_zero = (taus - latest[:, taus - m0]) // m0
+    return first_zero.T <= np.minimum(lens // m0 + 1, counts[:, None])
 
 
 def _rejected_lengths(lens, taus, m0: int, max_len: int | None = None):

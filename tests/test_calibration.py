@@ -149,6 +149,8 @@ class TestCalibrateLambda:
             CalibrationSpec(gamma=0.5, M=40, m0=10, replications=0)
         with pytest.raises(ValueError):
             CalibrationSpec(gamma=-0.5, M=40, m0=10)
+        with pytest.raises(ValueError, match="m0 must be a positive integer"):
+            CalibrationSpec(gamma=0.5, M=40, m0=0)
 
     def test_integral_float_m0_runs_as_its_integer(self):
         spec = CalibrationSpec(0.5, 80, m0=10.0, replications=500)

@@ -31,7 +31,7 @@ from lave.estimator import (
     select_interval,
 )
 from lave.estimator import TestRecord as ScanRecord
-from lave.series import ReturnSeries
+from lave.series import ReturnSeries, VolEstimate, theta_to_sigma
 from lave.transform import power_constants, power_transform
 
 
@@ -53,6 +53,26 @@ class TestIntervalGrid:
     def test_tau_below_m0(self):
         with pytest.raises(ValueError):
             IntervalGrid.for_time(5, 10)
+
+    def test_integral_values_run_as_their_integers(self):
+        grid = IntervalGrid.for_time(100.0, np.int64(10), max_len=np.float64(35.0))
+        assert grid == IntervalGrid.for_time(100, 10, max_len=35)
+        assert type(grid.tau) is int and type(grid.m0) is int
+
+    @pytest.mark.parametrize(
+        "args, name",
+        [((100, 10, 35.9), "max_len"), ((100, 2.5), "m0"), ((99.5, 10), "tau"),
+         ((100, float("nan")), "m0"), ((float("inf"), 10), "tau"), ((100, 10, "30"), "max_len")],
+    )
+    def test_non_integral_values_are_rejected(self, args, name):
+        # max_len=35.9 once gave (10, 20, 30) without a word, and m0=2.5 a TypeError
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            IntervalGrid.for_time(*args)
+
+    @pytest.mark.parametrize("m0", [0, -10])
+    def test_m0_must_be_positive(self, m0):
+        with pytest.raises(ValueError, match="m0 must be a positive integer"):
+            IntervalGrid.for_time(100, m0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -230,6 +250,37 @@ class TestSelectInterval:
         y = power_transform(ReturnSeries(np.ones(20)), 0.5)
         with pytest.raises(ValueError):
             select_interval(y, 30, 10, 2.4, p05)
+
+    def test_integral_values_run_as_their_integers(self, p05):
+        y = power_transform(ReturnSeries(np.random.default_rng(7).standard_normal(100)), 0.5)
+        sel = select_interval(y, 100.0, 10.0, 2.4, p05, max_len=np.float64(60.0))
+        same = select_interval(y, 100, 10, 2.4, p05, max_len=60)
+        assert (sel.chosen_len, sel.theta_hat, sel.rejected_at) == (
+            same.chosen_len, same.theta_hat, same.rejected_at
+        )
+        assert sel.test_trace == same.test_trace
+
+    @pytest.mark.parametrize(
+        "tau, m0, max_len, name",
+        [(99.5, 10, None, "tau"), (100, 2.5, None, "m0"), (100, 10, 35.9, "max_len")],
+    )
+    def test_non_integral_values_are_rejected(self, p05, tau, m0, max_len, name):
+        # tau=99.5 and tau=100.0 once raised a bare TypeError from slicing
+        y = power_transform(ReturnSeries(np.ones(100)), 0.5)
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            select_interval(y, tau, m0, 2.4, p05, max_len=max_len)
+
+    def test_to_estimate_is_the_selected_window_as_an_estimate(self, p05):
+        sel = select_interval(step_series(), 100, 10, 2.40, p05)
+        expected = VolEstimate(
+            theta_hat=sel.theta_hat,
+            sigma_hat=theta_to_sigma(sel.theta_hat, p05),
+            interval_len=sel.chosen_len,
+            v_tilde=sel.v_tilde,
+        )
+        assert sel.to_estimate(p05) == expected
+        assert expected.interval_len == 20
+        assert expected.sigma_hat == pytest.approx(theta_to_sigma(10.0, p05), rel=1e-12)
 
     def test_scan_record_reject_property(self):
         assert ScanRecord(20, 10, 2.0, 1.0).reject

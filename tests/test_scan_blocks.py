@@ -22,11 +22,11 @@ returns.
 A block down to a few live rows hands them to a pool, and the pooled rows
 of many blocks restart in one pass. A wide batch whose rows mostly stop
 early pins that pass to the reference, also where a zero block is reached
-by a pooled straggler under the larger of two thresholds only. The kernel
-looks for zero blocks only in a scan whose block sums hold one, so a zero
-block first gathered by a later block of taus and a pooled pass must still
-leave its gaps. A gap is decided from a row's first zero block, so one that
-a masked row gathers past its stop must leave no gap.
+by a pooled straggler under the larger of two thresholds only. Gaps are
+decided after the scan, from each row's chosen length and its first zero
+block counted back from tau, so a zero block that only later blocks of
+taus and a pooled pass reach must still leave its gaps, and one that lies
+past a row's stop must leave none.
 
 Several thresholds, in any order, share one scan: the working set holds a
 row while it is live under the largest. Each threshold's results must equal a scan under
@@ -201,9 +201,9 @@ def record_partial_write_outs(monkeypatch):
     partial = []
     write = estimator._write_rows
 
-    def spy(out, m0, rows, chosen, state, first_zero, cols):
+    def spy(out, m0, rows, chosen, state, cols):
         partial.append(cols.size < rows.shape[1])
-        write(out, m0, rows, chosen, state, first_zero, cols)
+        write(out, m0, rows, chosen, state, cols)
 
     monkeypatch.setattr(estimator, "_write_rows", spy)
     return partial
@@ -553,26 +553,23 @@ def test_zero_block_first_gathered_after_the_first_block_of_taus_leaves_its_gaps
     y = np.abs(returns) ** config.gamma
     assert np.count_nonzero(_block_sums(y, m0) == 0.0) == zero_rows.size
 
-    # per _scan_rows call: its rows' destinations, whether it ran rows
-    # handed to the pool before, and whether its working set gathered a
-    # zero block (a write-out that tracks the first zero blocks)
+    # per _scan_rows call: whether it ran rows handed to the pool before,
+    # and whether it scanned a zero row at a tau whose windows can reach
+    # the zero block (row destinations are s + rows * tau index)
     calls, handed = [], []
-    scan, write = estimator._scan_rows, estimator._write_rows
+    scan = estimator._scan_rows
 
     def scan_spy(flat_blocks, rows, m0, lams, s_gamma, out, pool=None):
         pooled = bool(handed) and np.isin(rows[0], np.concatenate(handed)).all()
-        calls.append({"pooled": pooled, "zero": False})
+        column, series = np.divmod(rows[0], returns.shape[0])
+        zero = np.isin(series, zero_rows) & (config.start_time + column > start)
+        calls.append({"pooled": pooled, "zero": bool(zero.any())})
         before = len(pool) if pool is not None else 0
         scan(flat_blocks, rows, m0, lams, s_gamma, out, pool)
         if pool is not None:
             handed.extend(p[0] for p in pool[before:])
 
-    def write_spy(out, m0, rows, chosen, state, first_zero, cols):
-        calls[-1]["zero"] |= first_zero is not None
-        write(out, m0, rows, chosen, state, first_zero, cols)
-
     monkeypatch.setattr(estimator, "_scan_rows", scan_spy)
-    monkeypatch.setattr(estimator, "_write_rows", write_spy)
     taus, sigma_hat, lens = batch_estimate(returns, config, lams=list(lams))
     monkeypatch.undo()
 

@@ -123,6 +123,10 @@ class TestLogReturns:
         with pytest.raises(ValueError):
             log_returns([1.0, np.nan])
 
+    def test_rejects_two_dimensional(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            log_returns([[1.0, 2.0], [3.0, 4.0]])
+
 
 class TestScaleConversions:
     def test_round_trip(self):

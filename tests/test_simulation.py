@@ -348,6 +348,14 @@ class TestExperimentHarness:
         with pytest.raises(ValueError):
             run_change_point_experiment(design, {(0.5, 80): 2.74}, replications=0)
 
+    @pytest.mark.parametrize("t_start", [0, 241])
+    def test_t_start_validation(self, t_start):
+        design = ChangePointSpec(segments=TWO_JUMP_3X)
+        with pytest.raises(ValueError, match=f"t_start={t_start} out of range for length 240"):
+            run_change_point_experiment(
+                design, {(0.5, 80): 2.74}, replications=10, t_start=t_start
+            )
+
 
 def test_quartiles_equal_numpy_percentile_bit_for_bit():
     # the curves' quartiles without np.percentile, which loads numpy.ma:

@@ -65,9 +65,13 @@ class TestLgamPort:
 
     def test_log_uniform_spread(self):
         # every branch: the shift into [2, 3), the Stirling tail below 1000,
-        # its short form to 1e8, and the bare Stirling term beyond
+        # its short form to 1e8, the bare Stirling term beyond, and inf past
+        # _MAXLGM
         xs = 10.0 ** np.random.default_rng(11).uniform(-3.0, 9.0, 50_000)
-        self._assert_gammaln_bits(xs.tolist() + [2.0, 3.0, 13.0, 1000.0, 1e8])
+        top = transform._MAXLGM
+        self._assert_gammaln_bits(
+            xs.tolist() + [2.0, 3.0, 13.0, 1000.0, 1e8, top, np.nextafter(top, np.inf), 1.7e308]
+        )
 
     def test_every_half_integer_to_one_hundred(self):
         self._assert_gammaln_bits((np.arange(1, 201) / 2.0).tolist())
@@ -157,6 +161,8 @@ class TestPowerConstants:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             power_constants(-1.0)
+        with pytest.raises(ValueError, match="gamma must be positive"):
+            transform.moment_constants(0.0)
 
     def test_scan_and_calibration_never_compute_the_tail_constant(self, monkeypatch):
         def no_tail_constant(params):
