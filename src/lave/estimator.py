@@ -686,7 +686,8 @@ def _scan_path(blocks: np.ndarray, n: int, config: EstimatorConfig, lams):
     the transposed views of _scan_taus;
     a degenerate window leaves a gap, NaN in theta and 0 in lens. The scan
     is one _scan_taus over all the taus, which bounds its memory in n; the
-    gaps are applied to its results here, in one pass over each array.
+    gaps are applied to its results here, in one pass over each array, and
+    only where a block sum is zero, without which _gaps flags no row.
     """
     t0 = config.start_time
     if t0 > n:
@@ -695,7 +696,8 @@ def _scan_path(blocks: np.ndarray, n: int, config: EstimatorConfig, lams):
     lams = np.asarray(lams, dtype=float)
     taus = np.arange(t0, n + 1, dtype=np.int64)
     lens, theta, gap = _scan_taus(blocks, taus, config.m0, lams, s_gamma, config.max_len)
-    theta[gap], lens[gap] = np.nan, 0
+    if not blocks.all():
+        theta[gap], lens[gap] = np.nan, 0
     return taus, theta, lens
 
 

@@ -122,46 +122,37 @@ _EXPONENTS = np.arange(_BLOCK + 1.0)
 _SCAN_BOUND = 1e300
 
 
-def _block_solver(beta: float, b: int):
-    # the b x b matrix of beta^(i - j), i >= j, that solves a block of b
-    # from zero (rows index the drive, columns the solution), and beta^(1..b)
-    powers = np.zeros(b + 2)
-    np.power(beta, _EXPONENTS[: b + 1], out=powers[: b + 1])
-    return powers[_TOEPLITZ[:b, :b]], powers[1 : b + 1]
-
-
 @functools.lru_cache(maxsize=4)
 def _scan_plan(beta: float, n: int) -> tuple:
-    # the blocked scan of n values: block length b, block count m, the block
-    # solver, and the carry of beta^(1..b) times the end of block k - 1 into
-    # block k > 0. The ends follow the same scan with beta^b: up to _BLOCK of
-    # them, one block solver folded with beta^(1..b) into an (m - 1) x
-    # (m - 1) b matrix; beyond, a plan of their own
+    # the blocked scan of n values: block length b, block count m, the b x b
+    # matrix of beta^(i - j), i >= j, that solves a block from zero (rows
+    # index the drive, columns the solution), and past one block the carry:
+    # the plan of the block ends' own scan with beta^b, and beta^(1..b), by
+    # which the end of block k - 1 carries into block k
     m = -(-n // _BLOCK)
     b = -(-n // m)
-    lower, rises = _block_solver(beta, b)
+    powers = np.zeros(b + 2)
+    np.power(beta, _EXPONENTS[: b + 1], out=powers[: b + 1])
+    lower = powers[_TOEPLITZ[:b, :b]]
     if m == 1:
         return b, m, lower, None
-    if m - 1 > _BLOCK:
-        return b, m, lower, (_scan_plan(float(rises[-1]), m - 1), rises)
-    ends, _ = _block_solver(float(rises[-1]), m - 1)
-    return b, m, lower, (ends[:, :, None] * rises).reshape(m - 1, -1)
+    return b, m, lower, (_scan_plan(float(powers[b]), m - 1), powers[1 : b + 1])
 
 
 def _blocked_scan(plan, x: np.ndarray) -> np.ndarray:
     # the recursion along the rows of a 2-D x, padded with zeros to m blocks
-    # of b and the padding dropped again
+    # of b and the padding dropped again. Each block is solved from zero;
+    # past one block, the solved ends of blocks 0..m-2 take their own scan,
+    # with beta^b, and each carries into the next block by beta^(1..b)
     b, m, lower, carry = plan
     k, n = x.shape
     if b * m > n:
         x = np.concatenate((x, np.zeros((k, b * m - n))), axis=1)
     y = np.dot(x.reshape(k * m, b), lower).reshape(k, b * m)
-    ends = y[:, b - 1 : -1 : b]  # the solution at the end of blocks 0..m-2
-    if isinstance(carry, np.ndarray):  # the ends' scan folded with beta^(1..b)
-        y[:, b:] += np.dot(ends, carry)
-    elif carry is not None:  # the ends' own plan, and beta^(1..b)
+    if carry is not None:
         inner, rises = carry
-        y[:, b:] += (_blocked_scan(inner, ends)[:, :, None] * rises).reshape(k, -1)
+        ends = _blocked_scan(inner, y[:, b - 1 : -1 : b])
+        y[:, b:] += (ends[:, :, None] * rises).reshape(k, -1)
     return y[:, :n]
 
 

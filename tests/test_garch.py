@@ -332,71 +332,72 @@ def _benchmark_returns(seed: int, n: int = 600) -> np.ndarray:
 
 
 # every forecast rolling_forecast makes on _benchmark_returns(7), window 350,
-# frozen from the warm refits with the variance recursions run as blocked scans
+# frozen from the warm refits with the variance recursions run as blocked scans,
+# whose block ends carry by their own scan
 _BENCHMARK_7_FORECASTS = (
-    0.9755618790094487, 0.9759399101837382, 0.9945504763078532, 0.9704482195587856,
-    0.9539691336986889, 0.9343834998864563, 0.9848563286169152, 0.9630179782338956,
-    0.9598865137055481, 0.943792628825836, 0.9177077550886886, 0.8917677333798837,
-    0.8675258645926064, 0.8775268921046154, 0.8912714950829193, 0.8673117440537763,
-    0.838513931992457, 0.8132290201699067, 0.7935847160095101, 0.8181836422596579,
-    0.8041866990625136, 0.8325283479558178, 0.8072058713251673, 0.7830668700540855,
-    0.7606041874899877, 0.7481047480965696, 0.7299939091343081, 0.7044407541408613,
-    0.6800593805710503, 0.6528370622668371, 0.62373554709016, 0.5858621279922711,
-    0.5504855469275164, 0.5681402628872687, 0.5343364275762711, 0.5341257876543093,
-    0.5141823176988073, 0.5368859082924848, 0.4982531831713439, 0.46847223590375764,
-    0.479793304944806, 0.44207502056996995, 0.5094338073496407, 0.5701397529022757,
-    0.5340242371069346, 0.5408494108499033, 0.5026112493133376, 0.5981548669355014,
-    0.5673654236995525, 0.5462614524849299, 0.5323611889595673, 0.5045895794973762,
-    0.5062752940851102, 0.5553773539860112, 0.5152810359372286, 0.5812939616027586,
-    0.5419550518828307, 0.5924838409240979, 0.6165924406595518, 0.5823906638589226,
-    0.5437741847057429, 0.5163656186165758, 0.5128718443931282, 0.4780414734938295,
-    0.5208705885228357, 0.48685075415565043, 0.5569434821619136, 0.5413089011161428,
-    0.5222703223089958, 0.48585268699002365, 0.4915292544916031, 0.8145546301970966,
-    0.8099776510350704, 0.8220620177969855, 0.8154926455988578, 0.945198246080248,
-    0.99171016094229, 1.039625777436479, 1.3162072305246222, 1.214440941394943,
-    1.1625447526801636, 1.0855541985451433, 1.1487031675597361, 1.0966667808921036,
-    1.2376385970307342, 1.1567860346034002, 1.0904871181041587, 1.0617442758312237,
-    0.9997140029042627, 0.968255121470503, 0.9233197911886556, 0.9257057698032041,
-    0.9720724118862363, 0.9331832261054849, 0.8874048426524982, 0.9015361097525196,
-    0.8983814297959816, 0.8885746960589365, 1.006832787713298, 0.9501926018570923,
-    0.9095226968289, 0.9013001297840421, 0.8571115128312147, 0.8108237887783302,
-    0.7698350673886746, 0.7507462913198175, 0.9571452316828749, 0.9158614144826545,
-    0.8718246096682778, 0.8388056189874743, 0.7976688830499046, 0.8151601746478047,
-    0.778056548790337, 0.7709553856511077, 0.7376293887633185, 0.7295190179832937,
-    0.7351108839083754, 0.7093543795465588, 0.7209779458959888, 0.7188320745498438,
-    0.7036305925446689, 0.6681200032255742, 0.6478211240917444, 0.6446675291334064,
-    0.6736341033862375, 0.689802954710596, 0.7915690528728915, 0.7988351243742351,
-    0.8957910804565137, 0.8547928018964334, 0.8259635347782197, 0.8426125029658128,
-    0.7961056869259252, 0.9853428002138142, 0.9358770989455361, 0.878337908299768,
-    0.8520666777111618, 0.8056802191740294, 0.7622818363581351, 0.742864562589766,
-    0.8259740675234567, 0.9028907402934933, 0.8588143523692386, 0.8707922893406301,
-    0.8330098061737035, 0.7962756540862502, 0.7715985043202496, 0.7990973489601467,
-    0.794568378857201, 0.8738605590034004, 0.826588295868455, 0.9522484047376183,
-    0.9993406714007934, 0.9794292666164577, 0.9659037767421406, 0.9185396975180969,
-    1.0410042760499336, 1.3560588366789417, 1.2665485141631418, 1.4250271929381544,
-    1.3156015584951237, 1.479035693672715, 1.4123372805644545, 1.3004441767826909,
-    1.209945046809557, 1.1216356561743306, 1.071968279462524, 1.1029721253681077,
-    1.1673711628961103, 1.088115752051944, 1.0255353498572781, 0.9674989274835488,
-    0.9111651732811001, 0.848791507808279, 0.8797351656463915, 0.8696714568951487,
-    0.8151490082292996, 0.7778519404853892, 0.8743690915168898, 0.8495095811714429,
-    0.7969416157239504, 0.7834794799881923, 0.7781114639829101, 0.7271995858885214,
-    0.6765044738286485, 0.6644285425201198, 0.7645527763282014, 0.7189235692471705,
-    0.7560400286209352, 0.7869084091175627, 0.8449146721142928, 0.8457861804863955,
-    0.9424781711674568, 1.0022015850945443, 0.9250611688661733, 0.8924520035349746,
-    0.8631902618800469, 0.800316553160966, 0.7439806342095312, 0.7462284634527114,
-    0.7112118877487456, 0.7233436689560322, 0.7180370243975239, 0.7056565218989924,
-    0.659170695142289, 0.7388231260184092, 0.686273215003843, 0.6400247643836665,
-    0.6243881325900131, 0.6049076231835044, 0.9435360186746375, 0.8746981845848868,
-    0.8763561031792095, 0.8361872562628897, 0.807300711543945, 0.7542810110452602,
-    0.7379485774973427, 0.8427626301244143, 0.9099058285723536, 0.8483389247655926,
-    0.7913372009843405, 0.7503990754646275, 0.7616972614429055, 0.7322588969714179,
-    0.7912911549183834, 0.7520020763532148, 1.1092474312606877, 1.0684259885606113,
-    1.0432273945631296, 1.0010163913135646, 0.9548920330840427, 0.9207496219762553,
-    0.8611010202919134, 0.8267031951389836, 0.7932198842158744, 0.7456773166802892,
-    0.7012384100453732, 0.7151710058847958, 0.6887697570254404, 0.6647076701240152,
-    0.7298399300930534, 0.7347634131688343, 0.6912298595927564, 0.6992318347594678,
-    0.6989577113794864, 0.6707806983590247, 0.6293191803391516, 0.5956579758183663,
-    0.562671417327126, 0.6051146898814879,
+    0.9755618830348343, 0.9759399101837392, 0.9945504763078513, 0.9704482195587831,
+    0.9539691336986886, 0.9343834998864557, 0.9848563286169165, 0.9630179782338969,
+    0.9598865137055465, 0.9437926288258353, 0.9177077550886864, 0.8917677333798848,
+    0.8675258645926055, 0.8775268921046165, 0.8912714950829188, 0.867311744053778,
+    0.8385139319924565, 0.8132290201699035, 0.793584716009509, 0.8181836422596589,
+    0.8041866990625133, 0.8325283479558162, 0.8072058713251677, 0.783066870054085,
+    0.7606041874899865, 0.7481047480965696, 0.7299939091343088, 0.7044407541408616,
+    0.6800593805710495, 0.6528370622668346, 0.6237355470901592, 0.5858621279922721,
+    0.550485546927515, 0.5681402628872674, 0.5343364275762702, 0.5341257876543081,
+    0.5141823176988094, 0.5368859082924844, 0.49825318317134304, 0.468472235903759,
+    0.4797933049448042, 0.44207502056996856, 0.5094338073496408, 0.5701397529022749,
+    0.5340242371069339, 0.5408494108499023, 0.5026112493133363, 0.5981548669355016,
+    0.5673654236995519, 0.546261452484931, 0.5323611889595679, 0.5045895794973771,
+    0.5062752940851082, 0.5553773539860113, 0.5152810359372304, 0.5812939616027584,
+    0.5419550518828299, 0.5924838409241, 0.6165924406595501, 0.5823906638589229,
+    0.543774184705743, 0.5163656186165777, 0.5128718443931275, 0.4780414734938301,
+    0.520870588522836, 0.48685075415564993, 0.5569434821619157, 0.5413089011161435,
+    0.5222703223089957, 0.48585268699002404, 0.4915292544916031, 0.8145546301970961,
+    0.8099776510350701, 0.8220620177969861, 0.8154926455988554, 0.9451982460802468,
+    0.9917101609422885, 1.0396257774364774, 1.316207230524622, 1.214440941394943,
+    1.1625447526801618, 1.0855541985451402, 1.1487031675597363, 1.0966667808921036,
+    1.2376385970307369, 1.1567860346033996, 1.0904871181041587, 1.0617442758312234,
+    0.9997140029042617, 0.9682551214705034, 0.9233197911886558, 0.9257057698032038,
+    0.9720724118862369, 0.9331832261054829, 0.8874048426525, 0.9015361097525189,
+    0.8983814297959793, 0.8885746960589398, 1.0068327877132979, 0.950192601857093,
+    0.9095226968288964, 0.9013001297840396, 0.8571115128312145, 0.81082378877833,
+    0.7698350673886751, 0.7507462913198191, 0.9571452316828777, 0.9158614144826541,
+    0.8718246096682772, 0.8388056189874733, 0.7976688830499046, 0.8151601746478041,
+    0.7780565487903394, 0.7709553856511054, 0.7376293887633204, 0.729519017983294,
+    0.7351108839083771, 0.7093543795465593, 0.7209779458959864, 0.7188320745498472,
+    0.703630592544668, 0.668120003225572, 0.6478211240917457, 0.6446675291334047,
+    0.6736341033862382, 0.6898029547105956, 0.7915690528728926, 0.7988351243742338,
+    0.8957910804565137, 0.8547928018964321, 0.82596353477822, 0.8426125029658139,
+    0.7961056869259255, 0.9853428002138147, 0.9358770989455361, 0.8783379082997688,
+    0.8520666777111622, 0.8056802191740303, 0.7622818363581327, 0.7428645625897632,
+    0.8259740675234597, 0.9028907402934941, 0.85881435236924, 0.8707922893406332,
+    0.8330098061737012, 0.7962756540862488, 0.77159850432025, 0.799097348960145,
+    0.7945683788572009, 0.8738605590034008, 0.8265882958684576, 0.9522484047376196,
+    0.999340671400793, 0.9794292666164579, 0.9659037767421406, 0.9185396975180972,
+    1.0410042760499327, 1.3560588366789412, 1.2665485141631416, 1.4250271929381566,
+    1.3156015584951244, 1.4790356936727171, 1.4123372805644554, 1.300444176782691,
+    1.2099450468095565, 1.121635656174332, 1.071968279462524, 1.102972125368111,
+    1.1673711628961125, 1.0881157520519409, 1.025535349857278, 0.9674989274835494,
+    0.911165173281102, 0.8487915078082776, 0.8797351656463929, 0.8696714568951508,
+    0.8151490082293006, 0.7778519404853903, 0.8743690915168887, 0.8495095811714451,
+    0.7969416157239478, 0.7834794799881921, 0.7781114639829108, 0.7271995858885225,
+    0.6765044738286482, 0.6644285425201202, 0.7645527763282007, 0.7189235692471706,
+    0.7560400286209349, 0.7869084091175631, 0.8449146721142928, 0.8457861804863939,
+    0.9424781711674558, 1.0022015850945447, 0.9250611688661732, 0.8924520035349753,
+    0.8631902618800483, 0.8003165531609656, 0.7439806342095325, 0.7462284634527108,
+    0.7112118877487457, 0.7233436689560305, 0.7180370243975222, 0.7056565218989921,
+    0.6591706951422898, 0.7388231260184094, 0.6862732150038447, 0.6400247643836651,
+    0.6243881325900135, 0.6049076231835042, 0.9435360186746372, 0.8746981845848852,
+    0.87635610317921, 0.8361872562628905, 0.8073007115439452, 0.754281011045263,
+    0.7379485774973427, 0.8427626301244119, 0.9099058285723529, 0.8483389247655927,
+    0.7913372009843392, 0.7503990754646276, 0.761697261442906, 0.7322588969714179,
+    0.7912911549183834, 0.7520020763532141, 1.1092474312606877, 1.0684259885606138,
+    1.0432273945631292, 1.0010163913135655, 0.9548920330840428, 0.9207496219762556,
+    0.8611010202919136, 0.8267031951389829, 0.7932198842158756, 0.7456773166802906,
+    0.701238410045372, 0.7151710058847955, 0.6887697570254395, 0.6647076701240145,
+    0.7298399300930536, 0.7347634131688351, 0.6912298595927573, 0.6992318347594663,
+    0.6989577113794863, 0.6707806983590239, 0.6293191803391497, 0.5956579758183669,
+    0.5626714173271263, 0.6051146898814885,
 )
 
 # the same on _benchmark_returns(0), whose first window's cold fit crawls
@@ -509,12 +510,16 @@ def _direct_recursion(beta, x):
 
 
 class TestBidiagonalSolve:
-    """The recursions run as blocked scans (garch._beta_recursion)."""
+    """The recursions y_t - beta y_{t-1} = x_t, a lower bidiagonal system,
+    are solved by blocked scans (garch._beta_recursion)."""
 
-    @pytest.mark.parametrize("n", [2, 3, 349, 350, 353])
+    @pytest.mark.parametrize("n", [2, 3, 26, 349, 350, 353, 626, 650])
     @pytest.mark.parametrize("beta", [0.0, 0.5, 0.9, 1 - 1e-6, 1.0])
     def test_is_within_16_sqrt_n_eps_of_the_exact_solution(self, beta, n):
-        # 350 is 14 blocks of 25; 349 and 353 are padded to whole blocks
+        # 26 is the first length of two blocks, the first with a carry; 350
+        # is 14 blocks of 25; 349 and 353 are padded to whole blocks; 626 and
+        # 650 are the first and last lengths of 26 blocks, whose 25 ends are
+        # the most that the ends' scan solves as one block
         rng = np.random.default_rng([n, int(beta * 1e6)])
         # a variance path from its start value, through garch_filter on n
         # observations, against the exact solution of its drive
@@ -560,28 +565,35 @@ class TestBidiagonalSolve:
     @pytest.mark.parametrize("n", [651, 1301])
     @pytest.mark.parametrize("beta", [0.0, 0.5, 0.75, 1 - 2.0**-10, 1.0])
     def test_past_26_blocks_the_ends_get_a_scan_of_their_own(self, beta, n):
-        # 651 is 27 blocks of 25, whose ends make 2 blocks; 1301 is 53, whose
-        # ends make 3. Betas with short binary expansions keep the exact
-        # reference quick at these lengths
-        assert isinstance(garch_mod._scan_plan(beta, n)[3], tuple)
+        # every scan of more than one block carries its block ends by their
+        # own scan; past 26 blocks that scan has more than one block, so it
+        # carries its ends by a scan of its own too. 651 is 27 blocks of 25,
+        # whose ends make 2 blocks; 1301 is 53, whose ends make 3. Betas with
+        # short binary expansions keep the exact reference quick at these
+        # lengths
+        _, m, _, (ends, _) = garch_mod._scan_plan(beta, n)
+        assert m - 1 > 25 and ends[3] is not None and ends[3][0][3] is None
         x = np.random.default_rng([n, 7]).lognormal(0.0, 2.0, (2, n))
         _assert_near_exact(garch_mod._beta_recursion(beta, x), _exact_recursion(beta, x.tolist()))
 
     def test_single_value_is_its_own_solution(self):
-        # dgtsv rejects the zero-length off-diagonals of a 1 x 1 system
+        # a single value is not scanned: the Python-float recursion returns it
         for x in (np.array([2.5]), np.array([[2.5], [0.5], [1.0]])):
             np.testing.assert_array_equal(garch_mod._beta_recursion(0.9, x), x)
 
     def test_overflow_keeps_the_finite_prefix(self):
-        # dgtsv's back substitution would turn the inf tail into nan throughout
+        # past the scan's bound the recursion runs in Python floats, where an
+        # overflow stays in the tail; a block's matmul would multiply the inf
+        # by the zeros of its solver and turn the values before it into nan
         p = GarchParams(omega=1e308, alpha=0.0, beta=0.9)
         s2 = garch_filter(p, ReturnSeries(np.ones(5)), sigma0_sq=1.0)
         assert s2[:2].tolist() == [1.0, 1e308 + 0.9]
         assert np.all(np.isposinf(s2[2:]))
 
     def test_explosive_beta_never_yields_a_finite_loglik(self):
-        # for beta > 1 dgtsv swaps rows; here its pivots underflow (info > 0)
-        # and its answer is finite, while the recursion overflows
+        # for beta > 1 the recursion runs in Python floats, not as a scan, and
+        # overflows. A general tridiagonal solve, LAPACK's dgtsv, would instead
+        # swap rows, underflow its pivots (info > 0) and answer a finite path
         r = ReturnSeries(np.random.default_rng(0).standard_normal(350))
         p = GarchParams(omega=0.05, alpha=0.1, beta=10.0)
         drive = np.concatenate(([1.0], p.omega + p.alpha * r.values[:-1] ** 2))
@@ -678,14 +690,15 @@ class TestWarmFits:
         # frozen from the Nelder-Mead engine that refitted every window before
         # warm refits, with the variance recursion run as a blocked scan. The
         # values frozen from exact recursions, before the scan, agree within
-        # the benchmark's GARCH tolerance of 1e-6 relative
+        # the benchmark's GARCH tolerance of 1e-6 relative; the exact tuple is
+        # the current fit's, whose scans carry the block ends by their own scan
         values = _benchmark_returns(7)
         cold = garch_fit(ReturnSeries(values[:350]))
         fitted = (cold.omega, cold.alpha, cold.beta)
         assert fitted == pytest.approx(
             (0.0666791310119367, 0.023093161771008293, 0.9144633414457719), rel=1e-6
         )
-        assert fitted == (0.06667912473422803, 0.023093162481783915, 0.9144633464849455)
+        assert fitted == (0.06667913010750641, 0.023093162176718602, 0.9144633419235664)
         rf = rolling_forecast(ReturnSeries(values), window=350)
         assert rf.fallback_times == ()
         t, last = rf.forecasts[-1]
@@ -696,6 +709,18 @@ class TestWarmFits:
         rf = rolling_forecast(ReturnSeries(_benchmark_returns(7)), window=350)
         assert [t for t, _ in rf.forecasts] == list(range(350, 600))
         assert tuple(fc for _, fc in rf.forecasts) == _BENCHMARK_7_FORECASTS
+
+    @pytest.mark.parametrize("n", [350, 700])
+    def test_the_window_path_is_garch_filter_bit_for_bit(self, n):
+        # a converged refit forecasts from its window's path, one that falls
+        # back from garch_filter's; at 700 the block ends' scan carries too
+        values = _benchmark_returns(7, n=max(n, 600))[:n]
+        fit = garch_fit(ReturnSeries(values))
+        path, _ = garch_mod._Window(values).path_and_cost(fit.omega, fit.alpha, fit.beta)
+        filtered = garch_filter(
+            GarchParams(fit.omega, fit.alpha, fit.beta), ReturnSeries(values), float(np.var(values))
+        )
+        assert path.tobytes() == filtered.tobytes()
 
     def test_where_the_simplex_crawls_every_forecast_is_frozen_bit_for_bit(self):
         values = _benchmark_returns(0)
