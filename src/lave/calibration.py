@@ -32,7 +32,7 @@ import numpy.random  # noqa: F401
 
 from ._record import Record, ValueRecord
 from .errors import CalibrationBracketError
-from .estimator import _integer, _split_terms, _test_terms
+from .estimator import _integer, _rest_lengths, _split_terms, _test_terms
 from .series import PowerParams, TransformedSeries
 from .transform import moment_constants
 
@@ -119,8 +119,12 @@ def _max_test_ratios(spec: CalibrationSpec) -> np.ndarray:
     """
     params = moment_constants(spec.gamma)
     rng = np.random.default_rng(spec.seed)
-    xi = rng.standard_normal((spec.replications, spec.M))
-    y = np.abs(xi) ** spec.gamma / params.c_gamma
+    # |xi|^gamma / c_gamma, in place: the draw and its transform are never
+    # both held
+    y = rng.standard_normal((spec.replications, spec.M))
+    np.abs(y, out=y)
+    y **= spec.gamma
+    y /= params.c_gamma
 
     m0, M = spec.m0, spec.M
     lengths = m0 * np.arange(1, M // m0 + 1)
@@ -135,7 +139,9 @@ def _max_test_ratios(spec: CalibrationSpec) -> np.ndarray:
     blocks = sums[:, ::-1].T
     tests = _test_terms(np.cumsum(blocks[:-1], axis=0), lengths[:-1, None], params.s_gamma)
     rest = np.cumsum(blocks[:0:-1], axis=0)[::-1]
-    statistic, unit = _split_terms(rest, *tests, m0, params.s_gamma)
+    statistic, unit = _split_terms(
+        rest, *tests, *_rest_lengths(rest.shape[0], m0), params.s_gamma
+    )
     # zero unit threshold needs a zero window, which has probability 0
     # under the Gaussian draws; guard anyway to keep the max finite
     ratio = np.where(unit > 0.0, statistic / np.where(unit > 0.0, unit, 1.0), 0.0)

@@ -1,18 +1,23 @@
 """Command-line interface: CSV ingestion, config echo, subcommand dispatch.
 
 Subcommands: constants, calibrate, estimate, simulate, backtest, stats, acf,
-each listed once in _COMMANDS with its handler and help line. Every flag's
-default is stated once, in RunConfig: the parser leaves an omitted flag out
-of its namespace, and a repeated flag's last value wins (--auto-M M stores
---lam auto:M). The one per-command default is --replications, left None in
-RunConfig: 500 for simulate, 2000 for calibrate. simulate runs exactly the
-(gamma, M) thresholds that _resolve_lambda_table decides. Every output CSV
-starts with '#' lines that echo the parsed configuration as a shell-quoted
-flag string (shlex.join); parsing its shlex.split reproduces the same
-RunConfig, so a run is fully described by its own output header. The
-header always carries --seed: $LAVE_SEED only supplies its default. Every
-CSV column is formatted in _write_csv. Exit codes: 0 success, 2 usage,
-3 input data, 4 domain or numeric, 5 nonconvergence.
+each listed once in _COMMANDS with its handler and help line. Every
+subcommand takes the same flags, so one parser serves them all: the
+subcommand is its one positional argument, a flag may come before or after
+it, and `lave --help` lists the subcommands with their help lines. Every
+flag's default is stated once, in RunConfig: the parser leaves an omitted
+flag out of its namespace, and a repeated flag's last value wins (--auto-M M
+stores --lam auto:M). The one per-command default is --replications, left
+None in RunConfig: 500 for simulate, 2000 for calibrate. simulate runs
+exactly the (gamma, M) thresholds that _resolve_lambda_table decides. An
+input CSV is read by one csv reader, or line by line when it holds a quote
+(ingest_csv). Every output CSV starts with '#' lines that echo the parsed
+configuration as a shell-quoted flag string (shlex.join); parsing its
+shlex.split reproduces the same RunConfig, so a run is fully described by
+its own output header. The header always carries --seed: $LAVE_SEED only
+supplies its default. Every CSV column is formatted in _write_csv. Exit
+codes: 0 success, 2 usage, 3 input data, 4 domain or numeric, 5
+nonconvergence.
 """
 
 from __future__ import annotations
@@ -137,63 +142,68 @@ class _AutoM(argparse.Action):
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    # a flag left out stays out of the namespace, so RunConfig supplies
-    # every default
-    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
-    common.add_argument("--gamma", type=float, help="power transform exponent")
-    common.add_argument("--m0", type=int, help="grid step and minimal window")
-    common.add_argument(
+    # one parser for every subcommand, which all take the same flags, in
+    # any order around the command; a flag left out stays out of the
+    # namespace, so RunConfig supplies every default
+    commands = "\n".join(f"  {name:<11} {short}" for name, (_, short) in _COMMANDS.items())
+    parser = argparse.ArgumentParser(
+        prog="lave",
+        usage="%(prog)s command [options]",
+        description="Adaptive local-window volatility estimation toolkit",
+        epilog="commands:\n" + commands,
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+        argument_default=argparse.SUPPRESS,
+    )
+    parser.add_argument(
+        "command", choices=_COMMANDS, metavar="command", help="one of the commands below"
+    )
+    parser.add_argument("--gamma", type=float, help="power transform exponent")
+    parser.add_argument("--m0", type=int, help="grid step and minimal window")
+    parser.add_argument(
         "--lam",
         "--lambda",
         help="threshold: a number, table:M (shipped default), or auto:M (calibrated "
         "at 2000 replications, so about 0.1 of noise)",
     )
-    common.add_argument(
+    parser.add_argument(
         "--auto-M", dest="lam", type=int, action=_AutoM, metavar="AUTO_M",
         help="shorthand for --lam auto:M (calibrate the threshold for length M)",
     )
-    common.add_argument("--t0", type=int, help="first estimation time (default 2*m0)")
-    common.add_argument("--max-len", type=int, help="cap on the candidate window length")
-    common.add_argument("--seed", type=int, help="RNG seed (default: $LAVE_SEED or 0)")
-    common.add_argument("--out-dir", "--out", help="directory for output CSVs")
-    common.add_argument(
+    parser.add_argument("--t0", type=int, help="first estimation time (default 2*m0)")
+    parser.add_argument("--max-len", type=int, help="cap on the candidate window length")
+    parser.add_argument("--seed", type=int, help="RNG seed (default: $LAVE_SEED or 0)")
+    parser.add_argument("--out-dir", "--out", help="directory for output CSVs")
+    parser.add_argument(
         "--deterministic", action="store_true", help="suppress the timestamp header line"
     )
-    common.add_argument("--input", dest="input_path", help="input CSV path")
-    common.add_argument(
+    parser.add_argument("--input", dest="input_path", help="input CSV path")
+    parser.add_argument(
         "--input-kind", choices=["auto", "returns", "prices"],
         help="how to read a column with no recognized header",
     )
-    common.add_argument(
+    parser.add_argument(
         "--design", help="change-point design: preset name or LENxSIGMA,LENxSIGMA,..."
     )
-    common.add_argument(
+    parser.add_argument(
         "--gamma-grid", help="comma list of gammas, or 'default' for 0.5,1.0,2.0"
     )
-    common.add_argument(
+    parser.add_argument(
         "--lambdas",
         help="'table', 'auto' (calibrated at 2000 replications, so about 0.1 of "
         "noise), or explicit GAMMA:M:VALUE;... entries",
     )
-    common.add_argument("--replications", "--reps", type=int, help="Monte Carlo replications")
-    common.add_argument("--t-start", type=int, help="first scored time for simulate")
-    common.add_argument("--M", dest="m_ref", type=int, help="reference window length")
-    common.add_argument("--alpha", type=float, help="calibration target rate")
-    common.add_argument("--garch-window", "--window", type=int, help="rolling fit window")
-    common.add_argument("--p", type=float, help="forecast criterion exponent")
-    common.add_argument("--max-lag", type=int, help="largest autocorrelation lag")
-    common.add_argument(
+    parser.add_argument("--replications", "--reps", type=int, help="Monte Carlo replications")
+    parser.add_argument("--t-start", type=int, help="first scored time for simulate")
+    parser.add_argument("--M", dest="m_ref", type=int, help="reference window length")
+    parser.add_argument("--alpha", type=float, help="calibration target rate")
+    parser.add_argument("--garch-window", "--window", type=int, help="rolling fit window")
+    parser.add_argument("--p", type=float, help="forecast criterion exponent")
+    parser.add_argument("--max-lag", type=int, help="largest autocorrelation lag")
+    parser.add_argument(
         "--standardize", action="store_true",
         help="also emit the ACF of returns standardized by the adaptive estimate",
     )
-    common.add_argument("--curves-for", help="GAMMA,M combination written to curves.csv")
-
-    parser = argparse.ArgumentParser(
-        prog="lave", description="Adaptive local-window volatility estimation toolkit"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, short) in _COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=short)
+    parser.add_argument("--curves-for", help="GAMMA,M combination written to curves.csv")
     return parser
 
 
@@ -217,9 +227,11 @@ def ingest_csv(path, kind: str = "auto") -> ReturnSeries:
     otherwise. Rows whose selected cell is empty, non-numeric or not a
     finite number (nan, inf, -inf) are dropped and counted in a logged
     warning. Prices are converted to log returns. The file must be UTF-8
-    text; a leading byte-order mark is skipped. A line the csv module cannot
+    text; a leading byte-order mark is skipped. The data lines are read by
+    one csv reader, or line by line where the file holds a quote, so that a
+    stray quote spoils its own line only. A line the csv module cannot
     parse, such as one with a cell over its field size limit, is an input
-    error.
+    error that names the file's line.
     """
     path = Path(path)
     try:
@@ -234,7 +246,7 @@ def ingest_csv(path, kind: str = "auto") -> ReturnSeries:
         ) from exc
 
     comment_kind = None
-    rows = []
+    lines, numbers = [], []
     for number, line in enumerate(text.splitlines(), 1):
         stripped = line.strip()
         if stripped.startswith("#"):
@@ -242,12 +254,22 @@ def ingest_csv(path, kind: str = "auto") -> ReturnSeries:
             if directive in ("returns", "prices"):
                 comment_kind = directive
         elif stripped:
-            try:
-                rows.append(next(csv.reader([line])))
-            except csv.Error as exc:
-                raise InputDataError(f"cannot read {path} line {number}: {exc}") from exc
-    if not rows:
+            lines.append(line)
+            numbers.append(number)
+    if not lines:
         raise InputDataError(f"{path} has no data rows")
+
+    # a reader per line where the file holds a quote: one reader would run
+    # a stray quote's cell on to the end of the file
+    readers = [csv.reader([line]) for line in lines] if '"' in text else [csv.reader(lines)]
+    rows, read = [], 0
+    for reader in readers:
+        try:
+            rows.extend(reader)
+        except csv.Error as exc:
+            number = numbers[read + reader.line_num - 1]
+            raise InputDataError(f"cannot read {path} line {number}: {exc}") from exc
+        read += reader.line_num
 
     header = [cell.strip().lower() for cell in rows[0]]
     named = [(i, _VALUE_HEADERS[name]) for i, name in enumerate(header) if name in _VALUE_HEADERS]
@@ -388,12 +410,25 @@ def _write_csv(cfg: RunConfig, name: str, header, columns) -> Path:
 
 def _format_column(column) -> list[str]:
     """The cells of a column: a float (np.float64 too) rounded to 12 digits,
-    anything else by str. An array column is converted by one tolist()."""
+    anything else by str. An array column is converted by one tolist().
+
+    A float cell is repr(round(x, 12)). When every |x| of a float array
+    lies in [1e-3, 100), that string is '%.12f' % x less its trailing zeros
+    (one kept after the point), which one format of the whole column gives
+    at about a third of the cost: round(x, 12) is the double nearest the
+    decimal that '%.12f' writes, a decimal of at most 15 significant digits
+    is the shortest that reads back as that double, and repr writes a value
+    of that size without an exponent.
+    """
     if isinstance(column, np.ndarray):
         values = column.tolist()
-        if column.dtype.kind == "f":
+        if column.dtype.kind != "f":
+            return list(map(str, values))
+        magnitude = np.abs(column)
+        if not ((magnitude >= 1e-3) & (magnitude < 100.0)).all():
             return list(map(repr, map(round, values, repeat(12))))
-        return list(map(str, values))
+        cells = [cell.rstrip("0") for cell in (("%.12f\n" * len(values)) % tuple(values)).split()]
+        return [cell + "0" if cell.endswith(".") else cell for cell in cells]
     return [repr(round(float(x), 12)) if isinstance(x, float) else str(x) for x in column]
 
 

@@ -359,24 +359,33 @@ def _test_terms(test_sums: np.ndarray, test_lens, s_gamma: float, out=(None, Non
     return theta_test, np.multiply(v_test, v_test, out=v_test)
 
 
-def _split_terms(rest, theta_test, v_test_sq, m0: int, s_gamma: float):
+def _rest_lengths(splits: int, m0: int):
+    """Rest lengths of the splits of a candidate of splits + 1 blocks, a
+    (splits, 1) float column running down from splits*m0 to m0, and their
+    square roots. A candidate with fewer splits takes the last rows of
+    both, so one pair serves every candidate of a scan."""
+    rest_lens = m0 * np.arange(splits, 0, -1, dtype=float)[:, None]
+    return rest_lens, np.sqrt(rest_lens)
+
+
+def _split_terms(rest, theta_test, v_test_sq, rest_lens, rest_roots, s_gamma: float):
     """Split arithmetic of one candidate, candidate-major: row i of rest
     sums the candidate's values before its test window of length
-    j = (i+1)*m0 (rest lengths run down from rest.shape[0]*m0 to m0), and
-    theta_test, v_test_sq come from _test_terms on the test sums.
+    j = (i+1)*m0, rest_lens and rest_roots are the rest windows' lengths
+    and their square roots (_rest_lengths), and theta_test, v_test_sq come
+    from _test_terms on the test sums.
 
     Returns statistic = |theta_rest - theta_test| of the two window means
     and root = sqrt(v_test^2 + v_rest^2), v = s_gamma * theta / sqrt(len);
     a split rejects at lam when statistic > lam * root, as in
     homogeneity_test.
     """
-    rest_lens = m0 * np.arange(rest.shape[0], 0, -1, dtype=float)[:, None]
     theta_rest = rest / rest_lens
     # in place, in homogeneity_test's order of operations
     statistic = np.subtract(theta_rest, theta_test)
     np.abs(statistic, out=statistic)
     v_rest = np.multiply(s_gamma, theta_rest, out=theta_rest)
-    v_rest /= np.sqrt(rest_lens)
+    v_rest /= rest_roots
     v_rest *= v_rest
     v_rest += v_test_sq
     return statistic, np.sqrt(v_rest, out=v_rest)
@@ -498,13 +507,16 @@ def _scan_rows(flat_blocks, rows, m0: int, lams, s_gamma: float, out, pool=None)
 
     Memory: the working set's three (count, rows) float arrays and its
     (count - 1, rows) buffers for lam * root (float) and the comparison
-    (bool), the rows and per row a test sum, a count and a flag per
-    threshold, and no first-zero index; a compaction
-    holds the old and the new working set for a moment, and drops the old
-    one once its columns are copied.
+    (bool), the rest-length column and its square root (count - 1 floats
+    each, built once and sliced at each step), the rows and per row a test
+    sum, a count and a flag per threshold, and no first-zero index; a
+    compaction holds the old and the new working set for a moment, and
+    drops the old one once its columns are copied.
     """
     n_rows = rows.shape[1]
     state, scaled, rejects = _working_set(int(rows[2].max()), n_rows)
+    # a compacted working set is no taller, so these serve it too
+    rest_lens, rest_roots = _rest_lengths(state.shape[1] - 1, m0)
     test_sum = np.zeros(n_rows)
     chosen = np.zeros((lams.size, n_rows), dtype=np.int64)
     live = np.ones((lams.size, n_rows), dtype=bool)
@@ -540,16 +552,20 @@ def _scan_rows(flat_blocks, rows, m0: int, lams, s_gamma: float, out, pool=None)
             del held, old, new
             fewest = int(n_cand.min())
 
-        # masked rows gather too; past its last candidate a row reads a
-        # clipped block whose value is never used
-        block = flat_blocks.take(at - k * m0, mode="clip")
-        test_sum += block
+        # block k goes straight into rest row k - 2, the rest of split
+        # k - 1; block 1 into row 0, which block 2 overwrites. Masked rows
+        # gather too; past its last candidate a row reads a clipped block
+        # whose value is never used
         rest, theta_test, v_test_sq = state[:, :k]
+        block = flat_blocks.take(at - k * m0, out=rest[max(k - 2, 0)], mode="clip")
+        test_sum += block
         _test_terms(test_sum, k * m0, s_gamma, out=(theta_test[k - 1], v_test_sq[k - 1]))
         if k > 1:
-            rest[k - 2] = block
             rest[: k - 2] += block
-            statistic, root = _split_terms(rest[:-1], theta_test[:-1], v_test_sq[:-1], m0, s_gamma)
+            statistic, root = _split_terms(
+                rest[:-1], theta_test[:-1], v_test_sq[:-1],
+                rest_lens[1 - k :], rest_roots[1 - k :], s_gamma,
+            )
             scaled_k, rejects_k = scaled[: k - 1], rejects[: k - 1]
             for lam, live_under in zip(lam_list, live):
                 np.greater(statistic, np.multiply(lam, root, out=scaled_k), out=rejects_k)

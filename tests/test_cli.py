@@ -8,6 +8,7 @@ import csv
 import logging
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -70,12 +71,16 @@ class TestIngest:
         np.testing.assert_array_equal(ingest_csv(f).values, values)
 
     def test_non_numeric_rows_are_dropped_and_logged(self, tmp_path, caplog):
-        f = tmp_path / "messy.csv"
-        write_lines(f, ["return", "0.1", "oops", "-0.2", "0.3"])
-        with caplog.at_level(logging.INFO, logger="lave.cli"):
-            r = ingest_csv(f)
-        assert len(r) == 3
-        assert "dropped 1" in caplog.text
+        # a stray quote drops its own line only: read by one reader, its
+        # cell would run on to the end of the file
+        for cell in ("oops", '"n/a'):
+            f = tmp_path / "messy.csv"
+            write_lines(f, ["return", "0.1", cell, "-0.2", "0.3"])
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="lave.cli"):
+                r = ingest_csv(f)
+            np.testing.assert_array_equal(r.values, [0.1, -0.2, 0.3])
+            assert "dropped 1" in caplog.text
 
     def test_dropped_rows_warning_reaches_stderr(self, tmp_path):
         # a fresh interpreter: pytest's log capture would hide the
@@ -151,12 +156,16 @@ class TestIngest:
         with pytest.raises(InputDataError, match=r"byte 0xe9 at offset 14\)"):
             ingest_csv(f)
 
-    def test_oversized_cell_is_an_input_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("quote", ['"', ""], ids=["quoted", "unquoted"])
+    def test_oversized_cell_is_an_input_error(self, tmp_path, capsys, quote):
         # over the csv module's default field size limit of 131072 characters,
-        # as a binary or single-line file passed by mistake can be
+        # as a binary or single-line file passed by mistake can be. A file
+        # with a quote is read line by line, one without by one reader; the
+        # error names the file's line, which counts the comment and the blank
         f = tmp_path / "huge.csv"
-        write_lines(f, ["return", "0.1", "-0.2", '"' + "1" * 140_000 + '"', "0.3"])
-        with pytest.raises(InputDataError, match="huge.csv line 4.*field larger than field limit"):
+        cell = quote + "1" * 140_000 + quote
+        write_lines(f, ["# exported by hand", "", "return", "0.1", "-0.2", cell, "0.3"])
+        with pytest.raises(InputDataError, match="huge.csv line 6.*field larger than field limit"):
             ingest_csv(f)
         assert main(["stats", "--input", str(f), "--out-dir", str(tmp_path)]) == 3
         err = capsys.readouterr().err
@@ -217,6 +226,10 @@ class TestConfigParsing:
         assert parse_config(["backtest", "--window", "60"]).garch_window == 60
         assert parse_config(["stats", "--out", "elsewhere"]).out_dir == "elsewhere"
         assert parse_config(["backtest", "--p", "1.0"]).p == 1.0
+
+    def test_flags_may_precede_the_command(self):
+        before = parse_config(["--gamma", "1", "--deterministic", "estimate"])
+        assert before == parse_config(["estimate", "--gamma", "1", "--deterministic"])
 
     def test_auto_m_shorthand(self):
         assert parse_config(["estimate", "--auto-M", "40"]).lam == "auto:40"
@@ -506,6 +519,14 @@ class TestExitCodes:
         assert main(["bogus"]) == 2
         assert main([]) == 2
 
+    def test_help_exits_zero_and_lists_every_command(self, capsys):
+        assert main(["--help"]) == 0
+        out = capsys.readouterr().out
+        for name, (_, short) in cli_mod._COMMANDS.items():
+            assert re.search(rf"^  {name} +{re.escape(short)}$", out, re.M), name
+        assert main(["estimate", "--help"]) == 0
+        assert "--gamma" in capsys.readouterr().out
+
     def test_missing_input_exits_three(self, tmp_path, capsys):
         cfg = RunConfig(command="estimate", lam="2.74", out_dir=str(tmp_path))
         assert dispatch(cfg) == 3
@@ -607,6 +628,18 @@ class TestWriteCsv:
         assert rows == read_output(by_cell)[1]
         assert rows[0] == ["0.333333333333", "0", "0.333333333333"]
         assert [row[0] for row in rows[1:]] == ["nan", "2.0", "-0.0", "123456.78901234567"]
+        # a column within [1e-3, 100) is formatted by '%.12f' at once, which
+        # gives each cell's own string, at ties in the 12th decimal too
+        rng = np.random.default_rng(0)
+        ties = (rng.integers(10**9, 10**14, 500) + 0.5) / 1e12
+        spread = 10 ** rng.uniform(-3, 2, 500) * rng.choice([-1, 1], 500)
+        edges = [1e-3, 2.0, -10.0, 99.99999999999996]
+        inside = np.concatenate([ties, np.nextafter(ties, 0), -ties, spread, edges])
+        cells = cli_mod._format_column(inside)
+        assert cells == [repr(round(x, 12)) for x in inside.tolist()]
+        assert cells[-4:] == ["0.001", "2.0", "-10.0", "100.0"]
+        outside = np.array([5e-5, 123456.7890123456789, 2.0])
+        assert cli_mod._format_column(outside) == ["5e-05", "123456.78901234567", "2.0"]
 
 
 
