@@ -5,8 +5,12 @@ each listed once in _COMMANDS with its handler and help line. Every
 subcommand takes the same flags, so one parser serves them all: the
 subcommand is its one positional argument, a flag may come before or after
 it, and `lave --help` lists the subcommands with their help lines. Every
-flag's default is stated once, in RunConfig: the parser leaves an omitted
-flag out of its namespace, and a repeated flag's last value wins (--auto-M M
+flag is declared once, on its RunConfig field (_flag): its default, its
+help line, its names where they are not --field-name, and any other
+argparse option. The parser and the config echo (RunConfig.to_argv) are
+both built from those fields; --auto-M alone has no field of its own. The
+parser leaves an omitted flag out of its namespace, so RunConfig supplies
+every default, and a repeated flag's last value wins (--auto-M M
 stores --lam auto:M). The one per-command default is --replications, left
 None in RunConfig: 500 for simulate, 2000 for calibrate. simulate runs
 exactly the (gamma, M) thresholds that _resolve_lambda_table decides. An
@@ -86,49 +90,73 @@ _VALUE_HEADERS = {
 _DATE_HEADERS = {"date", "time", "timestamp", "day"}
 
 
+def _flag(default, help: str, *names: str, **options):
+    """A RunConfig field and its flag: the default, the --help line, the
+    flag names where they are not --field-name, and any other argparse
+    option."""
+    return field(default=default, metadata={"names": names, "options": dict(options, help=help)})
+
+
+def _names(f) -> tuple:
+    # a field's flag names, the first of them the one to_argv writes
+    return f.metadata.get("names") or ("--" + f.name.replace("_", "-"),)
+
+
 class RunConfig(ValueRecord):
-    """Parsed flags for one CLI invocation; echoed into output headers."""
+    """Parsed flags for one CLI invocation; echoed into output headers.
+    Each field but command declares its flag."""
 
     command: str
-    gamma: float = 0.5
-    m0: int = 10
-    lam: str = "auto:80"
-    t0: int | None = None
-    max_len: int | None = None
-    seed: int = field(default_factory=lambda: int(os.environ.get("LAVE_SEED", "0")))
-    out_dir: str = "."
-    deterministic: bool = False
-    input_path: str | None = None
-    input_kind: str = "auto"
-    design: str | None = None
-    gamma_grid: str = "default"
-    lambdas: str = "table"
-    replications: int | None = None
-    t_start: int = 20
-    m_ref: int = 80
-    alpha: float = 0.05
-    garch_window: int = 350
-    p: float = 0.5
-    max_lag: int = 50
-    standardize: bool = False
-    curves_for: str = "0.5,80"
+    gamma: float = _flag(0.5, "power transform exponent")
+    m0: int = _flag(10, "grid step and minimal window")
+    lam: str = _flag(
+        "auto:80",
+        "threshold: a number, table:M (shipped default), or auto:M (calibrated "
+        "at 2000 replications, so about 0.1 of noise)",
+        "--lam", "--lambda",
+    )
+    t0: int | None = _flag(None, "first estimation time (default 2*m0)")
+    max_len: int | None = _flag(None, "cap on the candidate window length")
+    seed: int = field(
+        default_factory=lambda: int(os.environ.get("LAVE_SEED", "0")),
+        metadata={"options": {"help": "RNG seed (default: $LAVE_SEED or 0)"}},
+    )
+    out_dir: str = _flag(".", "directory for output CSVs", "--out-dir", "--out")
+    deterministic: bool = _flag(False, "suppress the timestamp header line")
+    input_path: str | None = _flag(None, "input CSV path", "--input")
+    input_kind: str = _flag(
+        "auto", "how to read a column with no recognized header",
+        choices=["auto", "returns", "prices"],
+    )
+    design: str | None = _flag(None, "change-point design: preset name or LENxSIGMA,LENxSIGMA,...")
+    gamma_grid: str = _flag("default", "comma list of gammas, or 'default' for 0.5,1.0,2.0")
+    lambdas: str = _flag(
+        "table",
+        "'table', 'auto' (calibrated at 2000 replications, so about 0.1 of "
+        "noise), or explicit GAMMA:M:VALUE;... entries",
+    )
+    replications: int | None = _flag(None, "Monte Carlo replications", "--replications", "--reps")
+    t_start: int = _flag(20, "first scored time for simulate")
+    m_ref: int = _flag(80, "reference window length", "--M")
+    alpha: float = _flag(0.05, "calibration target rate")
+    garch_window: int = _flag(350, "rolling fit window", "--garch-window", "--window")
+    p: float = _flag(0.5, "forecast criterion exponent")
+    max_lag: int = _flag(50, "largest autocorrelation lag")
+    standardize: bool = _flag(
+        False, "also emit the ACF of returns standardized by the adaptive estimate"
+    )
+    curves_for: str = _flag("0.5,80", "GAMMA,M combination written to curves.csv")
 
     def to_argv(self) -> list[str]:
         """Flag list that parses back to this exact config. A field left at
         its default is omitted; seed has no fixed default (its factory reads
         $LAVE_SEED), so it is always written."""
         argv = [self.command]
-        for f in fields(self):
-            if f.name == "command":
-                continue
+        for f in fields(self)[1:]:
             value = getattr(self, f.name)
             if value == f.default:
                 continue
-            flag = "--" + f.name.replace("_", "-")
-            if f.name == "m_ref":
-                flag = "--M"
-            elif f.name == "input_path":
-                flag = "--input"
+            flag = _names(f)[0]
             if isinstance(value, bool):
                 argv.append(flag)
             else:
@@ -139,6 +167,12 @@ class RunConfig(ValueRecord):
 class _AutoM(argparse.Action):
     def __call__(self, parser, namespace, value, option_string=None):
         setattr(namespace, self.dest, f"auto:{value}")
+
+
+# argparse options by a field's annotation, less any "| None"
+_KINDS = {
+    "int": {"type": int}, "float": {"type": float}, "str": {}, "bool": {"action": "store_true"},
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -157,53 +191,14 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "command", choices=_COMMANDS, metavar="command", help="one of the commands below"
     )
-    parser.add_argument("--gamma", type=float, help="power transform exponent")
-    parser.add_argument("--m0", type=int, help="grid step and minimal window")
-    parser.add_argument(
-        "--lam",
-        "--lambda",
-        help="threshold: a number, table:M (shipped default), or auto:M (calibrated "
-        "at 2000 replications, so about 0.1 of noise)",
-    )
-    parser.add_argument(
-        "--auto-M", dest="lam", type=int, action=_AutoM, metavar="AUTO_M",
-        help="shorthand for --lam auto:M (calibrate the threshold for length M)",
-    )
-    parser.add_argument("--t0", type=int, help="first estimation time (default 2*m0)")
-    parser.add_argument("--max-len", type=int, help="cap on the candidate window length")
-    parser.add_argument("--seed", type=int, help="RNG seed (default: $LAVE_SEED or 0)")
-    parser.add_argument("--out-dir", "--out", help="directory for output CSVs")
-    parser.add_argument(
-        "--deterministic", action="store_true", help="suppress the timestamp header line"
-    )
-    parser.add_argument("--input", dest="input_path", help="input CSV path")
-    parser.add_argument(
-        "--input-kind", choices=["auto", "returns", "prices"],
-        help="how to read a column with no recognized header",
-    )
-    parser.add_argument(
-        "--design", help="change-point design: preset name or LENxSIGMA,LENxSIGMA,..."
-    )
-    parser.add_argument(
-        "--gamma-grid", help="comma list of gammas, or 'default' for 0.5,1.0,2.0"
-    )
-    parser.add_argument(
-        "--lambdas",
-        help="'table', 'auto' (calibrated at 2000 replications, so about 0.1 of "
-        "noise), or explicit GAMMA:M:VALUE;... entries",
-    )
-    parser.add_argument("--replications", "--reps", type=int, help="Monte Carlo replications")
-    parser.add_argument("--t-start", type=int, help="first scored time for simulate")
-    parser.add_argument("--M", dest="m_ref", type=int, help="reference window length")
-    parser.add_argument("--alpha", type=float, help="calibration target rate")
-    parser.add_argument("--garch-window", "--window", type=int, help="rolling fit window")
-    parser.add_argument("--p", type=float, help="forecast criterion exponent")
-    parser.add_argument("--max-lag", type=int, help="largest autocorrelation lag")
-    parser.add_argument(
-        "--standardize", action="store_true",
-        help="also emit the ACF of returns standardized by the adaptive estimate",
-    )
-    parser.add_argument("--curves-for", help="GAMMA,M combination written to curves.csv")
+    for f in fields(RunConfig)[1:]:
+        kind = _KINDS[f.type.partition(" |")[0]]
+        parser.add_argument(*_names(f), dest=f.name, **kind, **f.metadata["options"])
+        if f.name == "lam":
+            parser.add_argument(
+                "--auto-M", dest="lam", type=int, action=_AutoM, metavar="AUTO_M",
+                help="shorthand for --lam auto:M (calibrate the threshold for length M)",
+            )
     return parser
 
 
@@ -323,7 +318,7 @@ def _calibrate(cfg: RunConfig, gamma: float, M: int, replications: int | None = 
     use table:M, or `lave calibrate --replications N` and a numeric --lam."""
     spec = CalibrationSpec(
         gamma=gamma, M=M, m0=cfg.m0, target_alpha=cfg.alpha,
-        replications=replications or 2000, seed=cfg.seed,
+        replications=2000 if replications is None else replications, seed=cfg.seed,
     )
     return calibrate_lambda(spec)
 
@@ -488,7 +483,7 @@ def _cmd_simulate(cfg: RunConfig) -> Path:
     result = run_change_point_experiment(
         design,
         lambdas,
-        replications=cfg.replications or 500,
+        replications=500 if cfg.replications is None else cfg.replications,
         seed=cfg.seed,
         t_start=cfg.t_start,
         m0=cfg.m0,

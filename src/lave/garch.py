@@ -570,7 +570,7 @@ def rolling_forecast(r: ReturnSeries, window: int = 350) -> RollingForecast:
         except GarchConvergenceError as exc:
             fallbacks.append(t)
             params = params if params is not None else exc.best_params
-            path = garch_filter(params, ReturnSeries(values[t - window : t]), state.sigma0_sq)
+            path = state.path_and_cost(params.omega, params.alpha, params.beta)[0]
         forecast = params.omega + params.alpha * values[t - 1] ** 2 + params.beta * float(path[-1])
         forecasts.append((t, float(forecast)))
     return RollingForecast(

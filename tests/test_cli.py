@@ -12,6 +12,7 @@ import re
 import shlex
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -260,6 +261,31 @@ class TestConfigParsing:
     )
     def test_every_default_comes_from_runconfig(self, command):
         assert parse_config([command]) == RunConfig(command=command)
+
+    def test_every_field_is_set_by_each_of_its_flags(self, capsys):
+        values = dict(
+            gamma=1.0, m0=5, lam="2.5", t0=12, max_len=200, seed=9, out_dir="elsewhere",
+            deterministic=True, input_path="data.csv", input_kind="returns",
+            design="two-jump-5x", gamma_grid="0.5,1.0", lambdas="0.5:40:2.4",
+            replications=77, t_start=25, m_ref=40, alpha=0.1, garch_window=100, p=1.0,
+            max_lag=30, standardize=True, curves_for="1.0,40",
+        )
+        assert [f.name for f in fields(RunConfig)] == ["command", *values]
+        names = set()
+        for f in fields(RunConfig)[1:]:
+            value = values[f.name]
+            for name in cli_mod._names(f):
+                argv = ["estimate", name] + ([] if value is True else [str(value)])
+                assert parse_config(argv) == RunConfig("estimate", **{f.name: value}), name
+                names.add(name)
+        assert main(["--help"]) == 0
+        listed = set()
+        for line in capsys.readouterr().out.splitlines():
+            if line.startswith("  -"):
+                invocation = line.strip().split("  ")[0]
+                listed.update(part.split(" ")[0] for part in invocation.split(", "))
+        # --auto-M, which stores --lam auto:M, is the one flag of no field
+        assert listed == names | {"-h", "--help", "--auto-M"}
 
     def test_design_presets_and_syntax(self):
         spec = _parse_design("two-jump-3x", seed=4)
@@ -526,6 +552,16 @@ class TestExitCodes:
             assert re.search(rf"^  {name} +{re.escape(short)}$", out, re.M), name
         assert main(["estimate", "--help"]) == 0
         assert "--gamma" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv", [["calibrate"], ["simulate", "--design", "two-jump-3x"]], ids=lambda a: a[0]
+    )
+    def test_zero_replications_exit_four(self, tmp_path, capsys, argv):
+        # 0 is a count, not a request for the command's default count
+        assert main([*argv, "--replications", "0", "--out-dir", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert "lave-error code=4 kind=domain" in err and "replications must be positive" in err
+        assert not any(tmp_path.iterdir())
 
     def test_missing_input_exits_three(self, tmp_path, capsys):
         cfg = RunConfig(command="estimate", lam="2.74", out_dir=str(tmp_path))
