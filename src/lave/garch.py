@@ -23,7 +23,10 @@ that starts on the persistence cap, a local maximum flat in its logit, stays
 there, where the simplex sometimes stepped to a higher interior one.
 
 A fit does its window's fixed work once (_Window): the squares, the sample
-variance that pins sigma2_1 and the constant rows of the derivative drives.
+variance that pins sigma2_1 and the constant rows of the derivative drives,
+and one check, from the window's length, sample variance and largest square,
+that no value a fit forms anywhere in its search box overflows; a window
+whose returns are too large or too small for that is refused.
 rolling_forecast takes sigma2_t from the variance path of the point each
 refit returns, so no window is filtered twice; every forecast keeps its bits.
 """
@@ -120,6 +123,9 @@ _TOEPLITZ = np.maximum(np.arange(_BLOCK) - np.arange(_BLOCK)[:, None], -1)
 _EXPONENTS = np.arange(_BLOCK + 1.0)
 # the scan runs where n max|x_t|, which bounds every value it forms, is below
 _SCAN_BOUND = 1e300
+# _Window accepts a window whose spread n S / L is below this, where
+# 4 e^80 (n S / L)^3 < _SCAN_BOUND
+_SPREAD_BOUND = (_SCAN_BOUND / (4.0 * math.exp(80.0))) ** (1.0 / 3.0)
 
 
 @functools.lru_cache(maxsize=4)
@@ -230,7 +236,9 @@ def _unpack(z: np.ndarray) -> GarchParams:
 class _Window:
     """A fit window's fixed work, done once: its squares, the sample
     variance that pins sigma2_1, and its recursions' drives, with the
-    constant rows (ones and the lagged squares) filled in."""
+    constant rows (ones and the lagged squares) filled in. Raises ValueError
+    where the window's scale lets a value a fit forms overflow, or a power
+    of the variance path it divides by underflow."""
 
     def __init__(self, values: np.ndarray):
         n = values.size
@@ -244,17 +252,30 @@ class _Window:
         self.drives = np.zeros((3, n))  # drive d s2_t / d(omega, alpha, beta)
         self.drives[0, 1:], self.drives[1, 1:] = 1.0, self.r2[:-1]
         self.lagged = np.zeros((3, n))  # drive the second derivatives
-        # omega <= e^40 and alpha, beta <= 1 bound every value an evaluation's
-        # scans form by 2 n^3 (e^40 + max(1, sigma0_sq, R^2)); far below
-        # _SCAN_BOUND, _beta_recursion's checks cannot fail, so scan skips them
-        top = math.exp(40.0) + max(1.0, self.sigma0_sq, float(self.r2.max()))
-        self.tame = 4.0 * n**3 * top < _SCAN_BOUND
+        # Every point of the box _coefficients clips to, omega in [e^-40, e^40]
+        # and alpha + beta < 1, keeps the variance path in [L, S]: s2_1 = V,
+        # the sample variance, and omega bounds each later s2_t from below, so
+        # L = min(V, e^-40), and S = n (e^40 + max(V, max R^2)) also bounds
+        # |s2_t - R_t^2| and |2 R_t^2 - s2_t| / 2. The first-derivative scans
+        # (drives 1, R^2, s2) stay below n S and the second's below 2 n^2 S,
+        # the weights below S / L^2 and the curvatures below S / L^3, the
+        # score below n^2 S^2 / L^2, and the Hessian with its cross term below
+        # 2 (n S / L)^3. The chain rule multiplies by at most e^40 on each
+        # side and adds e^40 times the score: every value formed is below
+        # 4 e^80 (n S / L)^3. Where that is below _SCAN_BOUND, nothing
+        # overflows, the scans need none of _beta_recursion's checks, and as
+        # S > 1 > L, s2^3 >= L^3 > 1e-265 does not underflow
+        top = max(self.sigma0_sq, float(self.r2.max()))
+        spread = n * n * (math.exp(40.0) + top) / min(self.sigma0_sq, math.exp(-40.0))
+        if not spread < _SPREAD_BOUND:
+            raise ValueError(
+                f"a GARCH window of scale {math.sqrt(self.sigma0_sq):.3g} (largest |return| "
+                f"{math.sqrt(top):.3g}) is out of the fit's range: rescale the returns"
+            )
 
     def scan(self, beta: float, x: np.ndarray) -> np.ndarray:
         # _beta_recursion(beta, x) on rows of the window's length
-        if self.tame:
-            return _blocked_scan(_scan_plan(beta, x.shape[1]), x)
-        return _beta_recursion(beta, x)
+        return _blocked_scan(_scan_plan(beta, x.shape[1]), x)
 
     def path_and_cost(self, omega: float, alpha: float, beta: float):
         # the variance path and -garch_loglik at (omega, alpha, beta)
@@ -263,25 +284,17 @@ class _Window:
         return s2, 0.5 * float((np.log(s2) + self.r2 / s2).sum())
 
 
-def _not_finite():
-    # what _loglik_grad_hess returns where a result is not finite
-    return np.inf, np.zeros(3), np.zeros((3, 3)), None
-
-
 def _loglik_grad_hess(z: np.ndarray, window: _Window):
     """Negative log likelihood at _unpack(z) on a window, its gradient and
     Hessian in z, and its variance path.
 
     The Hessian is None where the gradient meets _GTOL, where _newton_fit
-    stops without a step. Returns (inf, zeros(3), zeros((3, 3)), None) where
-    the value, the gradient or a formed Hessian is not finite, so a line
-    search retreats instead of erroring.
+    stops without a step. Every value is finite at every finite z: _Window
+    refuses a window whose scale could make one overflow.
     """
     z = z.tolist()
     omega, alpha, beta = _coefficients(z)
     s2, value = window.path_and_cost(omega, alpha, beta)
-    if not math.isfinite(value):
-        return _not_finite()
     # d s2_t / d(omega, alpha, beta), whose zero first column adds nothing to
     # the sums below; the scans of an evaluation share _scan_plan(beta, n)
     drives = window.drives
@@ -302,10 +315,7 @@ def _loglik_grad_hess(z: np.ndarray, window: _Window):
     clipped = not all(inside)
     if clipped:
         grad = np.where(inside, grad, 0.0)
-    steep = grad.tolist()
-    if not all(map(math.isfinite, steep)):
-        return _not_finite()
-    if max(map(abs, steep)) < _GTOL:
+    if max(map(abs, grad.tolist())) < _GTOL:
         return value, grad, None, s2
     # d2 s2_t / d(omega, alpha, beta) d beta: driven by d s2_{t-1}, twice
     # for (beta, beta); every pair without beta has zero second derivative
@@ -327,8 +337,6 @@ def _loglik_grad_hess(z: np.ndarray, window: _Window):
     h[1][2] += split * tail * tilt
     h[2][1] += split * tail * tilt
     h[2][2] += split * (1.0 - 2.0 * alpha / q) * tilt
-    if not all(map(math.isfinite, h[0] + h[1] + h[2])):
-        return _not_finite()
     hess = np.array(h)
     if clipped:
         hess = hess * np.outer(inside, inside)
@@ -495,7 +503,9 @@ def garch_fit(r: ReturnSeries, init: GarchParams | None = None) -> GarchParams:
     search finds no further decrease. The first variance is pinned to the
     sample variance of the window. Raises GarchConvergenceError with the
     best parameters seen when the search does not converge; after a cold
-    fit its message names the budget that ran out.
+    fit its message names the budget that ran out. Raises ValueError, before
+    any fitting, where the returns are too large or too small for the
+    search's box (see _Window).
     """
     values = r.values
     if values.size < 50:
@@ -552,7 +562,8 @@ def rolling_forecast(r: ReturnSeries, window: int = 350) -> RollingForecast:
     `window` observations, warm-started from the previous optimum, and the
     forecast omega + alpha R_t^2 + beta sigma2_t is emitted for t+1. A
     window whose fit fails to converge reuses the previous parameters and
-    is flagged in fallback_times.
+    is flagged in fallback_times. A window garch_fit refuses for its scale
+    raises ValueError before it is fitted.
     """
     n = len(r)
     if window < 50:

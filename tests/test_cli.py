@@ -568,6 +568,24 @@ class TestExitCodes:
         assert dispatch(cfg) == 3
         assert "lave-error code=3 kind=input" in capsys.readouterr().err
 
+    def test_simulate_without_design_exits_three(self, tmp_path, capsys):
+        assert main(["simulate", "--reps", "5", "--out-dir", str(tmp_path)]) == 3
+        err = capsys.readouterr().err
+        assert "lave-error code=3 kind=input" in err and "simulate needs --design" in err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("scale", [1e140, 1e-60])
+    def test_garch_window_out_of_range_exits_four(self, tmp_path, capsys, scale):
+        # refused before any GARCH fit, so no RuntimeWarning (an error here) is raised
+        f = tmp_path / "returns.csv"
+        write_returns(f, scale * np.random.default_rng(0).standard_normal(420))
+        argv = ["backtest", "--input", str(f), "--garch-window", "350", "--lam", "2.74",
+                "--out-dir", str(tmp_path / "out"), "--deterministic"]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "lave-error code=4 kind=domain" in err and "GARCH window of scale" in err
+        assert not (tmp_path / "out").exists()
+
     def test_domain_errors_exit_four(self, tmp_path, capsys):
         code = main(["constants", "--gamma-grid", "-1", "--out-dir", str(tmp_path)])
         assert code == 4
@@ -633,6 +651,13 @@ class TestReproducibility:
         assert first.startswith("# config: ")
         echoed = first[len("# config: "):].split()
         assert parse_config(echoed) == cfg
+
+    def test_timed_header_carries_the_time_under_the_config(self, tmp_path):
+        cfg = RunConfig(command="constants", gamma_grid="0.5", out_dir=str(tmp_path))
+        assert dispatch(cfg) == 0
+        first, second = (tmp_path / "constants.csv").read_text(encoding="utf-8").splitlines()[:2]
+        assert re.fullmatch(r"# generated: \d{4}-\d\d-\d\dT\d\d:\d\d:\d\d", second)
+        assert parse_config(shlex.split(first[len("# config: "):])) == cfg
 
     def test_quoted_header_reproduces_values_with_spaces(self, tmp_path):
         cfg = RunConfig(

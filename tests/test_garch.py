@@ -12,7 +12,9 @@ Deterministic oracle values frozen from seeded runs on this engine:
       seed 3 -> 0.9877, seed 11 -> 0.9584 (250 forecasts, no fallbacks)
 """
 
+import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -829,6 +831,33 @@ class TestWarmFits:
         assert max(warm) <= 12
         assert sum(warm) / len(warm) <= 4.5
 
+    def test_a_refit_past_the_newton_step_cap_falls_back(self, monkeypatch):
+        monkeypatch.setattr(garch_mod, "_MAX_NEWTON_STEPS", 1)
+        start = GarchParams(omega=0.08, alpha=0.15, beta=0.7)
+        with pytest.raises(GarchConvergenceError, match="in 1 Newton steps") as info:
+            garch_fit(garch_simulate(TRUE, 350, seed=3), init=start)
+        assert isinstance(info.value.best_params, GarchParams)
+        # every refit that raises, and no other, is a fallback origin
+        real_fit = garch_mod._fit
+        failed = []
+
+        def fit(window, init):
+            try:
+                fitted = real_fit(window, init)
+            except GarchConvergenceError as exc:
+                assert "in 1 Newton steps" in str(exc)
+                failed.append(True)
+                raise
+            failed.append(False)
+            return fitted
+
+        monkeypatch.setattr(garch_mod, "_fit", fit)
+        values = np.random.default_rng(5).standard_normal(160)
+        rf = rolling_forecast(ReturnSeries(values), window=100)
+        # the first, cold fit takes no Newton step; every warm refit here needs more
+        assert failed == [False] + [True] * 59
+        assert rf.fallback_times == tuple(t for t, f in zip(range(100, 160), failed) if f)
+
     def test_non_finite_start_raises(self, monkeypatch):
         r = garch_simulate(TRUE, 350, seed=3)
         monkeypatch.setattr(
@@ -863,6 +892,71 @@ class TestWarmFits:
         else:
             assert isinstance(fitted, GarchParams)
             assert np.max(np.abs(garch_mod._pack(fitted) - z0)) <= radius
+
+
+# the 8 corners of the box that _coefficients clips each coordinate of z to
+_CORNERS = np.array(list(itertools.product((-40.0, 40.0), repeat=3)))
+
+
+def _accepts(values) -> bool:
+    try:
+        garch_mod._Window(values)
+    except ValueError:
+        return False
+    return True
+
+
+def _edge_exponent(values, inside, outside):
+    # the power of ten, to 1e-12 decades, where _Window stops accepting
+    # values scaled by it, bisected between an accepted and a refused power
+    for _ in range(50):
+        middle = 0.5 * (inside + outside)
+        if _accepts(values * 10.0**middle):
+            inside = middle
+        else:
+            outside = middle
+    assert _accepts(values * 10.0**inside) and not _accepts(values * 10.0**outside)
+    return inside
+
+
+class TestWindowScale:
+    """_Window checks once that no value a fit forms anywhere in its box
+    overflows, and refuses a window whose scale breaks that."""
+
+    @pytest.mark.parametrize(
+        "refused", [200.0, None, -200.0], ids=["largest", "benchmark", "smallest"]
+    )
+    def test_every_evaluation_in_the_box_is_finite(self, refused):
+        # the benchmark's window, and the same scaled to either edge of the
+        # accepted range; a RuntimeWarning fails the test as an error
+        values = _benchmark_returns(7)[:350]
+        if refused is not None:
+            exponent = _edge_exponent(values, 0.0, refused)
+            assert abs(exponent) > 30.0
+            values = values * 10.0**exponent
+        window = garch_mod._Window(values)
+        points = np.random.default_rng(17).uniform(-40.0, 40.0, (200, 3))
+        for z in (*points, *_CORNERS):
+            value, grad, hess, path = garch_mod._loglik_grad_hess(z, window)
+            assert math.isfinite(value) and np.isfinite(grad).all()
+            assert hess is None or np.isfinite(hess).all()
+            assert float(path.min()) ** 3 > 0.0
+
+    @pytest.mark.parametrize("scale", [1e140, 1e-60])
+    def test_a_window_out_of_range_is_refused_before_fitting(self, monkeypatch, scale):
+        # at 1e140 the squared variance path overflowed; at 1e-60 every warm
+        # refit divided by zero and fell back
+        values = scale * np.random.default_rng(0).standard_normal(420)
+        named = re.escape(f"scale {math.sqrt(np.var(values[:350])):.3g} ")
+
+        def fit(window, init):
+            raise AssertionError("a refused window was fitted")
+
+        monkeypatch.setattr(garch_mod, "_fit", fit)
+        with pytest.raises(ValueError, match=named):
+            rolling_forecast(ReturnSeries(values), window=350)
+        with pytest.raises(ValueError, match=named):
+            garch_fit(ReturnSeries(values[:350]))
 
 
 def _cold_problem(monkeypatch, values):
