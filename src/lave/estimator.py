@@ -205,10 +205,10 @@ class EstimatorConfig(ValueRecord):
 class EstimatePath(Record):
     """Per-time volatility estimates over taus = t0, t0+1, ..., n.
 
-    rejected_at holds the length of the first rejected candidate window, 0
-    where the scan kept every candidate. A degenerate window at some tau is
-    recorded as a gap: NaN in theta_hat and sigma_hat, 0 in interval_len and
-    rejected_at.
+    interval_len and rejected_at are int32. rejected_at holds the length of
+    the first rejected candidate window, 0 where the scan kept every
+    candidate. A degenerate window at some tau is recorded as a gap: NaN in
+    theta_hat and sigma_hat, 0 in interval_len and rejected_at.
     """
 
     taus: np.ndarray
@@ -589,9 +589,9 @@ def _scan_taus(
     blocks : _block_sums of R series; taus : int64 array. Every
     (series, tau) pair is a row with its own candidate count
     min(tau, max_len) // m0. Returns (lams.size, R, taus.size) arrays:
-    chosen length, theta_hat and a flag for rows where select_interval
-    would raise; a flagged row keeps the length and theta_hat the scan
-    reached. Each is a transposed view of a tau-major (lams.size,
+    chosen length (int32), theta_hat and a flag for rows where
+    select_interval would raise; a flagged row keeps the length and
+    theta_hat the scan reached. Each is a transposed view of a tau-major (lams.size,
     taus.size, R) array, not a copy: row (series s, tau index i) is written
     at s + R * i, so the rows of one tau, series-major within every block,
     land side by side. The flags are decided once, after the scan, by
@@ -608,16 +608,18 @@ def _scan_taus(
     among its rows, so a block is given the pool only when the scan has
     more than k_last blocks, and the last block only when the pool already
     holds rows. Besides one block's or one pooled pass's working set, the
-    scan holds its results, 16 bytes per entry and threshold (the length
-    and theta_hat, each stored once in the tau-major arrays), and three
-    ints per pooled row; the gap flags take one byte more, and _gaps a
-    position per block sum, only where a block sum is zero.
+    scan holds its results, 12 bytes per entry and threshold (the int32
+    length and the float theta_hat, each stored once in the tau-major
+    arrays), and three ints per pooled row; the gap flags take one byte
+    more, and _gaps a position per block sum, only where a block sum is
+    zero.
     """
     n_series, width = blocks.shape
     flat_blocks = blocks.ravel()
     counts = _candidate_counts(taus, m0, max_len)
     shape = (lams.size, taus.size, n_series)
-    lens, theta = np.empty(shape, dtype=np.int64), np.empty(shape)
+    # a length is at most the series length, so 4 bytes hold it
+    lens, theta = np.empty(shape, dtype=np.int32), np.empty(shape)
     out = lens.reshape(lams.size, -1), theta.reshape(lams.size, -1)
     series = np.arange(n_series)[:, None]
     at_series = width * series
@@ -742,8 +744,9 @@ def batch_estimate(returns: np.ndarray, config: EstimatorConfig, *, lams=None):
     """Run the adaptive scan at every tau >= t0 for many series at once.
 
     returns has shape (replications, n). Gives (taus, sigma_hat, lens) where
-    sigma_hat and lens have shape (replications, taus.size); degenerate
-    windows appear as NaN / 0, matching estimate_path's gap convention.
+    sigma_hat and lens (int32) have shape (replications, taus.size);
+    degenerate windows appear as NaN / 0, matching estimate_path's gap
+    convention.
     sigma_hat and lens may be views that are not C-contiguous (the scan
     stores its results tau-major); a reduction over them, such as np.sum,
     adds in memory order, so a caller that needs the bits of a

@@ -25,8 +25,9 @@ there, where the simplex sometimes stepped to a higher interior one.
 A fit does its window's fixed work once (_Window): the squares, the sample
 variance that pins sigma2_1 and the constant rows of the derivative drives,
 and one check, from the window's length, sample variance and largest square,
-that no value a fit forms anywhere in its search box overflows; a window
-whose returns are too large or too small for that is refused.
+that no value a fit forms anywhere in its search box overflows and that the
+box's smallest omega can fit the window's own variance; a window whose
+returns are too large or too small for that is refused.
 rolling_forecast takes sigma2_t from the variance path of the point each
 refit returns, so no window is filtered twice; every forecast keeps its bits.
 """
@@ -237,8 +238,8 @@ class _Window:
     """A fit window's fixed work, done once: its squares, the sample
     variance that pins sigma2_1, and its recursions' drives, with the
     constant rows (ones and the lagged squares) filled in. Raises ValueError
-    where the window's scale lets a value a fit forms overflow, or a power
-    of the variance path it divides by underflow."""
+    where the window's scale lets a value a fit forms overflow, or is too
+    small for the box's smallest omega to fit its own variance."""
 
     def __init__(self, values: np.ndarray):
         n = values.size
@@ -252,10 +253,13 @@ class _Window:
         self.drives = np.zeros((3, n))  # drive d s2_t / d(omega, alpha, beta)
         self.drives[0, 1:], self.drives[1, 1:] = 1.0, self.r2[:-1]
         self.lagged = np.zeros((3, n))  # drive the second derivatives
-        # Every point of the box _coefficients clips to, omega in [e^-40, e^40]
-        # and alpha + beta < 1, keeps the variance path in [L, S]: s2_1 = V,
-        # the sample variance, and omega bounds each later s2_t from below, so
-        # L = min(V, e^-40), and S = n (e^40 + max(V, max R^2)) also bounds
+        # A stationary fit of the window's own variance V, the sample
+        # variance, has omega = V (1 - alpha - beta) >= V _MARGIN, which the
+        # box _coefficients clips to, omega in [e^-40, e^40] and alpha + beta
+        # < 1, cannot represent where V _MARGIN < e^-40: such a window is
+        # refused, and so V > e^-40. Every point of the box keeps the variance
+        # path in [L, S]: s2_1 = V and omega bounds each later s2_t from
+        # below, so L = e^-40, and S = n (e^40 + max(V, max R^2)) also bounds
         # |s2_t - R_t^2| and |2 R_t^2 - s2_t| / 2. The first-derivative scans
         # (drives 1, R^2, s2) stay below n S and the second's below 2 n^2 S,
         # the weights below S / L^2 and the curvatures below S / L^3, the
@@ -263,11 +267,11 @@ class _Window:
         # 2 (n S / L)^3. The chain rule multiplies by at most e^40 on each
         # side and adds e^40 times the score: every value formed is below
         # 4 e^80 (n S / L)^3. Where that is below _SCAN_BOUND, nothing
-        # overflows, the scans need none of _beta_recursion's checks, and as
-        # S > 1 > L, s2^3 >= L^3 > 1e-265 does not underflow
+        # overflows, the scans need none of _beta_recursion's checks, and
+        # s2^3 >= L^3 = e^-120 does not underflow
         top = max(self.sigma0_sq, float(self.r2.max()))
-        spread = n * n * (math.exp(40.0) + top) / min(self.sigma0_sq, math.exp(-40.0))
-        if not spread < _SPREAD_BOUND:
+        spread = n * n * (math.exp(40.0) + top) / math.exp(-40.0)
+        if not (self.sigma0_sq * _MARGIN >= math.exp(-40.0) and spread < _SPREAD_BOUND):
             raise ValueError(
                 f"a GARCH window of scale {math.sqrt(self.sigma0_sq):.3g} (largest |return| "
                 f"{math.sqrt(top):.3g}) is out of the fit's range: rescale the returns"

@@ -249,11 +249,17 @@ def _score_gamma(returns, sigma, config, entries, wanted):
         raise DegenerateWindowError(
             "degenerate window inside the scored range"
         )
+    sigma_true = sigma[taus - 1]
     for (m_label, lam), sigma_hat, lens in zip(entries, sigma_hats, lens_all):
         # sigma_hat may be a transposed view, and np.sum adds in memory
-        # order: a C-ordered difference keeps the sum over (replications, taus)
-        diff = np.subtract(sigma_hat, sigma[taus - 1], order="C")
-        err = float(np.sum((diff / sigma[taus - 1]) ** 2))
+        # order: a C-ordered difference keeps the sum over (replications,
+        # taus). It is squared in place, in the order of (diff / sigma) ** 2,
+        # and dropped before the quartiles
+        diff = np.subtract(sigma_hat, sigma_true, order="C")
+        diff /= sigma_true
+        diff *= diff
+        err = float(np.sum(diff))
+        del diff
         cells.append(
             ExperimentCell(gamma=gamma, lam=lam, m_label=m_label, error=err)
         )
@@ -263,7 +269,7 @@ def _score_gamma(returns, sigma, config, entries, wanted):
         l25, lmed, l75 = _quartiles(lens)
         curves[(gamma, m_label)] = CurveTable(
             taus=taus,
-            sigma_true=sigma[taus - 1],
+            sigma_true=sigma_true,
             sigma_median=med,
             sigma_q25=q25,
             sigma_q75=q75,

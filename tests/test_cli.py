@@ -574,7 +574,7 @@ class TestExitCodes:
         assert "lave-error code=3 kind=input" in err and "simulate needs --design" in err
         assert not any(tmp_path.iterdir())
 
-    @pytest.mark.parametrize("scale", [1e140, 1e-60])
+    @pytest.mark.parametrize("scale", [1e140, 1e-60, 1e-30])
     def test_garch_window_out_of_range_exits_four(self, tmp_path, capsys, scale):
         # refused before any GARCH fit, so no RuntimeWarning (an error here) is raised
         f = tmp_path / "returns.csv"

@@ -932,7 +932,13 @@ class TestWindowScale:
         values = _benchmark_returns(7)[:350]
         if refused is not None:
             exponent = _edge_exponent(values, 0.0, refused)
-            assert abs(exponent) > 30.0
+            if refused > 0:
+                assert exponent > 30.0
+            else:
+                # the smallest edge: the box's smallest omega, e^-40, is the
+                # window's variance times the stationarity margin
+                edge = np.var(values * 10.0**exponent) * garch_mod._MARGIN
+                assert edge == pytest.approx(math.exp(-40.0), rel=1e-9)
             values = values * 10.0**exponent
         window = garch_mod._Window(values)
         points = np.random.default_rng(17).uniform(-40.0, 40.0, (200, 3))
@@ -942,10 +948,11 @@ class TestWindowScale:
             assert hess is None or np.isfinite(hess).all()
             assert float(path.min()) ** 3 > 0.0
 
-    @pytest.mark.parametrize("scale", [1e140, 1e-60])
+    @pytest.mark.parametrize("scale", [1e140, 1e-60, 1e-30])
     def test_a_window_out_of_range_is_refused_before_fitting(self, monkeypatch, scale):
         # at 1e140 the squared variance path overflowed; at 1e-60 every warm
-        # refit divided by zero and fell back
+        # refit divided by zero and fell back; at 1e-30 the box's smallest
+        # omega, e^-40, was the first forecast against a variance of 1e-60
         values = scale * np.random.default_rng(0).standard_normal(420)
         named = re.escape(f"scale {math.sqrt(np.var(values[:350])):.3g} ")
 

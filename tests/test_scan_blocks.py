@@ -403,6 +403,28 @@ def test_two_threshold_wide_batch_runs_in_bounded_memory():
     assert sigma_hat.shape == (2, rows, taus.size) and np.all(lens > 0)
 
 
+def test_change_point_study_stores_its_lengths_in_four_bytes():
+    # lave simulate's study of two-jump-3x under the shipped gamma = 0.5
+    # thresholds: its peak is the scan's results. Stored as int64, the
+    # chosen lengths took the traced peak to 25.2 MiB; as int32, 21.9 MiB
+    design = ChangePointSpec(((80, 1.0), (80, 3.0), (80, 1.0)))
+    lambdas = {(0.5, 40): 2.40, (0.5, 80): 2.74}
+    tracemalloc.start()
+    try:
+        run_change_point_experiment(
+            design, lambdas, replications=2000, seed=1, curves_for=[(0.5, 80)]
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 23.5 * 2**20
+    r = ReturnSeries(alternating_returns(300, run=60, high=3.0, seed=1))
+    config = EstimatorConfig(gamma=0.5, m0=10, lam=2.74)
+    path = estimate_path(r, config)
+    _, _, lens = batch_estimate(r.values[None, :], config)
+    assert lens.dtype == path.interval_len.dtype == path.rejected_at.dtype == np.int32
+
+
 def test_experiment_scans_each_gamma_once_and_matches_one_run_per_threshold():
     design = ChangePointSpec(((60, 1.0), (60, 3.0), (60, 1.0)))
     # gamma 0.5: three thresholds, unsorted by M label, one value twice

@@ -8,6 +8,7 @@ sigma 2 / 3 / 5 over 200 replications).
 """
 
 import tracemalloc
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -251,6 +252,25 @@ class TestExperimentHarness:
             pairs.append((full, sigma))
         expected = relative_error_criterion(pairs, t_start=20)
         assert res.cells[0].error == pytest.approx(expected, rel=1e-12)
+
+    def test_each_cell_of_a_shared_scan_equals_the_criterion(self):
+        # the cells square their relative errors in place; the public
+        # criterion sums the same terms per replication, in another order
+        design = ChangePointSpec(segments=TWO_JUMP_3X)
+        lambdas = {(0.5, 40): 2.40, (0.5, 80): 2.74}
+        res = run_change_point_experiment(
+            design, lambdas, replications=200, seed=2, curves_for=[]
+        )
+        sigma = design.sigma_path()
+        returns = sigma * np.random.default_rng(2).standard_normal((200, sigma.size))
+        config = EstimatorConfig(gamma=0.5, m0=10, lam=2.40, t0=20)
+        taus, sigma_hats, _ = batch_estimate(returns, config, lams=list(lambdas.values()))
+        assert [(cell.m_label, cell.lam) for cell in res.cells] == [(40, 2.40), (80, 2.74)]
+        for cell, sigma_hat in zip(res.cells, sigma_hats):
+            full = np.full((200, sigma.size), np.nan)
+            full[:, taus - 1] = sigma_hat
+            expected = relative_error_criterion(zip(full, repeat(sigma)), t_start=20)
+            assert cell.error == pytest.approx(expected, rel=1e-12)
 
     def test_each_error_sums_its_thresholds_rows_in_c_order(self):
         # batch_estimate may return transposed views, and np.sum adds in
