@@ -13,6 +13,8 @@ is 3, not 0); the autocorrelation is normalized by the lag-0 autocovariance.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ._record import ValueRecord
@@ -155,7 +157,11 @@ def compare_forecasters(
     (t, lave_sigma_sq, garch_sigma_sq) are returned as `forecasts`, and
     the origins whose GARCH refit fell back as `garch_fallback_times`.
     """
-    path = estimate_path(r, lave_cfg)
+    # only origins from garch_window on are scored, and the estimate at each
+    # tau reads the first tau returns alone, so the scan starts there; capped
+    # at the series length, so a window too long is refused by the GARCH fit
+    start = max(lave_cfg.start_time, min(garch_window, len(r)))
+    path = estimate_path(r, replace(lave_cfg, t0=start))
     lave_by_t = dict(path.forecasts())
     garch = rolling_forecast(r, window=garch_window)
     garch_by_t = dict(garch.forecasts)

@@ -3,7 +3,7 @@ and the rolling one-step-ahead forecast pipeline.
 
 The variance recursion is sigma2_t = omega + alpha * R_{t-1}^2 +
 beta * sigma2_{t-1} with sigma2_1 supplied by the caller. It and the
-recursions of its derivatives, all y_t = x_t + beta y_{t-1} with
+recursions of its first derivatives, all y_t = x_t + beta y_{t-1} with
 nonnegative drives, run as blocked numpy scans (_beta_recursion), within
 16 sqrt(n) eps of the exact solution, relative. Fitting maximizes the
 Gaussian log likelihood over (log omega, logit persistence, logit split),
@@ -14,8 +14,13 @@ A fit from the default start takes scipy's Nelder-Mead steps one for one
 (_nelder_mead), so it equals scipy's bit for bit without importing scipy.
 A fit warm-started from given parameters, as each refit of rolling_forecast
 is, takes Newton steps on the exact Hessian: d sigma2_t = (1, R_{t-1}^2,
-sigma2_{t-1}) + beta d sigma2_{t-1} with d sigma2_1 = 0, and the second
-derivatives follow the same recursion driven by d sigma2_{t-1}. From a
+sigma2_{t-1}) + beta d sigma2_{t-1} with d sigma2_1 = 0. The second
+derivatives d2 sigma2_t / d theta d beta follow the same recursion driven
+by d sigma2_{t-1} (twice for theta = beta), so the Hessian's term
+sum_t w_t d2 sigma2_t / d theta d beta, w_t = d(-loglik) / d sigma2_t, is
+sum_t u_t d sigma2_{t-1} by the adjoint u_t = w_t + beta u_{t+1} of the
+recursion: the same scan run on the weights reversed. An evaluation runs
+two scans, the path and then its first derivatives with u. From a
 neighbouring window's optimum it converges in about three steps whatever
 the data, and forms the Hessian only where a step uses it. The searches can
 end at different local maxima, so cold fits keep the simplex; a warm refit
@@ -243,16 +248,20 @@ class _Window:
 
     def __init__(self, values: np.ndarray):
         n = values.size
-        self.sigma0_sq = float(np.var(values))
+        # np.var's arithmetic, and its bits, without its wrapper
+        deviations = values - values.sum() / n
+        self.sigma0_sq = float(np.square(deviations, out=deviations).sum()) / n
         if not (self.sigma0_sq > 0.0):
             raise ValueError("sample variance must be positive")
         self.r2 = values**2
         self.twice_r2 = 2.0 * self.r2
         self.drive = np.empty((1, n))  # drives the variance path
         self.drive[0, 0] = self.sigma0_sq
-        self.drives = np.zeros((3, n))  # drive d s2_t / d(omega, alpha, beta)
+        self.work = np.empty(n)  # the cost's terms
+        # drive d s2_t / d(omega, alpha, beta), then the weights reversed,
+        # whose scan is the adjoint of the variance recursion
+        self.drives = np.zeros((4, n))
         self.drives[0, 1:], self.drives[1, 1:] = 1.0, self.r2[:-1]
-        self.lagged = np.zeros((3, n))  # drive the second derivatives
         # A stationary fit of the window's own variance V, the sample
         # variance, has omega = V (1 - alpha - beta) >= V _MARGIN, which the
         # box _coefficients clips to, omega in [e^-40, e^40] and alpha + beta
@@ -261,14 +270,15 @@ class _Window:
         # path in [L, S]: s2_1 = V and omega bounds each later s2_t from
         # below, so L = e^-40, and S = n (e^40 + max(V, max R^2)) also bounds
         # |s2_t - R_t^2| and |2 R_t^2 - s2_t| / 2. The first-derivative scans
-        # (drives 1, R^2, s2) stay below n S and the second's below 2 n^2 S,
-        # the weights below S / L^2 and the curvatures below S / L^3, the
-        # score below n^2 S^2 / L^2, and the Hessian with its cross term below
-        # 2 (n S / L)^3. The chain rule multiplies by at most e^40 on each
-        # side and adds e^40 times the score: every value formed is below
-        # 4 e^80 (n S / L)^3. Where that is below _SCAN_BOUND, nothing
-        # overflows, the scans need none of _beta_recursion's checks, and
-        # s2^3 >= L^3 = e^-120 does not underflow
+        # (drives 1, R^2, s2) stay below n S, the weights below S / L^2, their
+        # adjoint u_t = w_t + beta u_{t+1} below n S / L^2 and the curvatures
+        # below S / L^3, the score below n^2 S^2 / L^2, and the Hessian with
+        # its cross term, twice sum_t d s2_t u_{t+1}, below 2 (n S / L)^3.
+        # The chain rule multiplies by at most e^40 on each side and adds
+        # e^40 times the score: every value formed is below 4 e^80 (n S / L)^3.
+        # Where that is below _SCAN_BOUND, nothing overflows, the scans need
+        # none of _beta_recursion's checks, and s2^3 >= L^3 = e^-120 does not
+        # underflow
         top = max(self.sigma0_sq, float(self.r2.max()))
         spread = n * n * (math.exp(40.0) + top) / math.exp(-40.0)
         if not (self.sigma0_sq * _MARGIN >= math.exp(-40.0) and spread < _SPREAD_BOUND):
@@ -283,68 +293,75 @@ class _Window:
 
     def path_and_cost(self, omega: float, alpha: float, beta: float):
         # the variance path and -garch_loglik at (omega, alpha, beta)
-        self.drive[0, 1:] = omega + alpha * self.drives[1, 1:]
+        drive = self.drive[0, 1:]
+        np.multiply(self.drives[1, 1:], alpha, out=drive)
+        drive += omega
         s2 = self.scan(beta, self.drive)[0]
-        return s2, 0.5 * float((np.log(s2) + self.r2 / s2).sum())
+        terms = np.divide(self.r2, s2, out=self.work)
+        terms += np.log(s2)
+        return s2, 0.5 * float(terms.sum())
 
 
-def _loglik_grad_hess(z: np.ndarray, window: _Window):
+def _loglik_grad_hess(z, window: _Window):
     """Negative log likelihood at _unpack(z) on a window, its gradient and
-    Hessian in z, and its variance path.
+    Hessian in z, and its variance path; z holds three floats.
 
     The Hessian is None where the gradient meets _GTOL, where _newton_fit
     stops without a step. Every value is finite at every finite z: _Window
     refuses a window whose scale could make one overflow.
     """
-    z = z.tolist()
     omega, alpha, beta = _coefficients(z)
     s2, value = window.path_and_cost(omega, alpha, beta)
-    # d s2_t / d(omega, alpha, beta), whose zero first column adds nothing to
-    # the sums below; the scans of an evaluation share _scan_plan(beta, n)
+    s2_sq = s2 * s2
+    weight = 0.5 * (s2 - window.r2) / s2_sq  # d(value) / d s2_t
+    # one scan of d s2_t / d(omega, alpha, beta), whose zero first column
+    # adds nothing to the sums below, and of the adjoint u_t = w_t +
+    # beta u_{t+1} of the weights, reversed; it shares the path's
+    # _scan_plan(beta, n)
     drives = window.drives
     drives[2, 1:] = s2[:-1]
-    ds2 = window.scan(beta, drives)
-    weight = 0.5 * (s2 - window.r2) / s2**2  # d(value) / d s2_t
-    score = ds2 @ weight
+    drives[3] = weight[::-1]
+    scanned = window.scan(beta, drives)
+    ds2 = scanned[:3]
+    s_omega, s_alpha, s_beta = (ds2 @ weight).tolist()
     # chain through _unpack: omega = e^z0, (alpha, beta) = q (f, 1 - f) with
-    # q = (1 - _MARGIN) expit(z1), f = expit(z2); its clip has zero gradient
+    # q = (1 - _MARGIN) expit(z1), f = expit(z2); its clip has zero gradient.
+    # Its Jacobian is [[omega, 0, 0], [0, a, b], [0, split, -split]]
     q = alpha + beta
     tail = 1.0 - q / (1.0 - _MARGIN)  # 1 - expit(z1)
     split = alpha * beta / q  # q f (1 - f)
-    jacobian = np.array(
-        [[omega, 0.0, 0.0], [0.0, alpha * tail, beta * tail], [0.0, split, -split]]
-    )
-    grad = jacobian @ score
+    a, b = alpha * tail, beta * tail
+    tilt = s_alpha - s_beta
+    grad = [omega * s_omega, a * s_alpha + b * s_beta, split * tilt]
     inside = [abs(c) <= 40.0 for c in z]
     clipped = not all(inside)
     if clipped:
-        grad = np.where(inside, grad, 0.0)
-    if max(map(abs, grad.tolist())) < _GTOL:
-        return value, grad, None, s2
-    # d2 s2_t / d(omega, alpha, beta) d beta: driven by d s2_{t-1}, twice
-    # for (beta, beta); every pair without beta has zero second derivative
-    lagged = window.lagged
-    lagged[:, 1:] = ds2[:, :-1]
-    lagged[2] *= 2.0
-    d2s2 = window.scan(beta, lagged)
-    curvature = 0.5 * (window.twice_r2 - s2) / s2**3  # d2(value) / d s2_t^2
-    hess = (ds2 * curvature) @ ds2.T
-    cross = d2s2 @ weight
-    hess[:, 2] += cross
-    hess[2, :2] += cross[:2]
-    h = (jacobian @ hess @ jacobian.T).tolist()
-    # second derivatives of _unpack, weighted by the score
-    s_omega, s_alpha, s_beta = score.tolist()
-    tilt = s_alpha - s_beta
-    h[0][0] += omega * s_omega
-    h[1][1] += tail * (2.0 * tail - 1.0) * (alpha * s_alpha + beta * s_beta)
-    h[1][2] += split * tail * tilt
-    h[2][1] += split * tail * tilt
-    h[2][2] += split * (1.0 - 2.0 * alpha / q) * tilt
-    hess = np.array(h)
+        grad = [g if ok else 0.0 for g, ok in zip(grad, inside)]
+    if max(map(abs, grad)) < _GTOL:
+        return value, np.array(grad), None, s2
+    curvature = 0.5 * (window.twice_r2 - s2) / (s2_sq * s2)  # d2(value) / d s2_t^2
+    (h00, h01, h02), (_, h11, h12), (_, _, h22) = ((ds2 * curvature) @ ds2.T).tolist()
+    # sum_t w_t d2 s2_t / d(omega, alpha, beta) d beta: the second
+    # derivatives follow the recursion driven by d s2_{t-1}, twice for
+    # (beta, beta), so by the adjoint the sum is sum_t d s2_{t-1} u_t;
+    # every pair without beta has zero second derivative
+    c_omega, c_alpha, c_beta = (ds2[:, :-1] @ scanned[3, -2::-1]).tolist()
+    h02 += c_omega
+    h12 += c_alpha
+    h22 += 2.0 * c_beta
+    # J H J^T, plus the second derivatives of _unpack weighted by the score
+    k00 = omega * omega * h00 + omega * s_omega
+    k01 = omega * (a * h01 + b * h02)
+    k02 = omega * split * (h01 - h02)
+    k11 = a * (a * h11 + b * h12) + b * (a * h12 + b * h22)
+    k11 += tail * (2.0 * tail - 1.0) * (alpha * s_alpha + beta * s_beta)
+    k12 = split * (a * (h11 - h12) + b * (h12 - h22)) + split * tail * tilt
+    k22 = split * split * (h11 - 2.0 * h12 + h22) + split * (1.0 - 2.0 * alpha / q) * tilt
+    hess = [[k00, k01, k02], [k01, k11, k12], [k02, k12, k22]]
     if clipped:
-        hess = hess * np.outer(inside, inside)
-    return value, grad, hess, s2
+        hess = [[h if i and j else 0.0 for h, j in zip(row, inside)]
+                for row, i in zip(hess, inside)]
+    return value, np.array(grad), np.array(hess), s2
 
 
 # warm refits: converged at a gradient below _GTOL in every coordinate of z;
@@ -367,20 +384,30 @@ def _newton_fit(z: np.ndarray, window: _Window) -> tuple:
     def failed(message):
         return GarchConvergenceError(message, best_params=_unpack(z), best_loglik=-value)
 
+    z = z.tolist()
     value, grad, hess, path = _loglik_grad_hess(z, window)
     if not math.isfinite(value):
         raise failed("fit did not converge: log likelihood is not finite at the start")
     for _ in range(_MAX_NEWTON_STEPS):
-        steep = max(map(abs, grad.tolist()))
+        g = grad.tolist()
+        steep = max(map(abs, g))
         if steep < _GTOL:
             return _unpack(z), path
         eigval, eigvec = _eigh(hess)
-        scale = max(max(map(abs, eigval.tolist())), 1.0)
-        step = -eigvec @ ((eigvec.T @ grad) / np.maximum(np.abs(eigval), 1e-8 * scale))
-        slope = float(grad @ step)
+        (l0, l1, l2), rows = eigval.tolist(), eigvec.tolist()
+        (v00, v01, v02), (v10, v11, v12), (v20, v21, v22) = rows
+        g0, g1, g2 = g
+        # -V (V^T g / max(|lambda|, floor)), written out; a nan eigenvalue
+        # makes every coordinate of the step nan, and the line search fails
+        floor = 1e-8 * max(abs(l0), abs(l1), abs(l2), 1.0)
+        c0 = (v00 * g0 + v10 * g1 + v20 * g2) / max(abs(l0), floor)
+        c1 = (v01 * g0 + v11 * g1 + v21 * g2) / max(abs(l1), floor)
+        c2 = (v02 * g0 + v12 * g1 + v22 * g2) / max(abs(l2), floor)
+        step = [-(v * c0 + w * c1 + x * c2) for v, w, x in rows]
+        slope = g0 * step[0] + g1 * step[1] + g2 * step[2]
         t = 1.0
         while True:
-            moved = z + t * step
+            moved = [zk + t * sk for zk, sk in zip(z, step)]
             trial = _loglik_grad_hess(moved, window)
             if trial[0] <= value + 1e-4 * t * slope or trial[0] - value <= 1e-13 * abs(value):
                 break

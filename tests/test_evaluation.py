@@ -218,6 +218,37 @@ class TestCompareForecasters:
         assert comp.t0 == 400
         assert comp.p == 1.0
 
+    @pytest.mark.parametrize("window", [100, 350])
+    def test_scan_from_the_garch_window_scores_as_the_full_range(self, monkeypatch, window):
+        # the scan starts at the first scored origin; every scored row, both
+        # scores, the ratio and t0 equal those of a path from the config's t0
+        alternating = tuple((60, 1.0) if i % 2 == 0 else (60, 3.0) for i in range(10))
+        r, _ = generate_change_point_series(ChangePointSpec(alternating, seed=1))
+        full = dict(estimate_path(r, CFG).forecasts())
+        garch = dict(garch_mod.rolling_forecast(r, window=window).forecasts)
+        rows = tuple((t, full[t], garch[t]) for t in sorted(set(full) & set(garch)))
+        lave_score = forecast_criterion(r, [(t, s2) for t, s2, _ in rows])
+        garch_score = forecast_criterion(r, [(t, s2) for t, _, s2 in rows])
+        starts = []
+        real = estimate_path
+
+        def recording(series, config):
+            starts.append(config.start_time)
+            return real(series, config)
+
+        monkeypatch.setattr("lave.evaluation.estimate_path", recording)
+        comp = compare_forecasters(r, CFG, garch_window=window)
+        assert starts == [window]
+        assert np.array(comp.forecasts).tobytes() == np.array(rows).tobytes()
+        assert (comp.lave_score, comp.garch_score) == (lave_score, garch_score)
+        assert comp.ratio == lave_score / garch_score
+        assert comp.t0 == rows[0][0] == window
+
+    def test_a_window_longer_than_the_series_is_refused_by_the_garch_fit(self):
+        r = ReturnSeries(np.random.default_rng(4).standard_normal(240))
+        with pytest.raises(ValueError, match="series length 240 must exceed window 300"):
+            compare_forecasters(r, CFG, garch_window=300)
+
     def test_requires_common_range(self):
         # adaptive forecasts exist only at t = n, which has no target left
         r = ReturnSeries(np.random.default_rng(4).standard_normal(100))
